@@ -397,37 +397,31 @@ class Mobius2x2:
         return (self.a.value, self.b.value, self.c.value, self.d.value)
 
 
-def mobius_transform(chi: Poly, t: Mobius2x2) -> Poly:
-    """Image of a monic chi under the slice mix t.
+def mobius_image(chi, a: int, b: int, c: int, d: int, p: int) -> list[int] | None:
+    """Image of the monic chi under the slice mix (a, b, c, d), both as ascending
+    coefficients: the monic multiple of sum_i c_i * (a*x - c)**i * (d - b*x)**(l-i),
+    by Horner's rule in O(l^2) int operations.  That sum's leading coefficient is
+    det(a*I + b*Phi_chi); None when it vanishes (the mix is inadmissible)."""
+    l = len(chi) - 1
+    acc, den_pow = [chi[l]], [1]
+    for i in range(l - 1, -1, -1):
+        # den_pow <- den_pow * (d - b*x); acc <- acc * (a*x - c) + c_i * den_pow
+        den_pow = [(d * hi - b * lo) % p for lo, hi in zip([0] + den_pow, den_pow + [0])]
+        ci = chi[i]
+        acc = [(a * lo - c * hi + ci * y) % p for lo, hi, y in zip([0] + acc, acc + [0], den_pow)]
+    if not acc[-1]:
+        return None
+    inv = pow(acc[-1], -1, p)
+    return [s * inv % p for s in acc]
 
-    Substitutes the fractional-linear map into the homogenized polynomial:
-    eta(x) is the monic multiple of sum_i c_i * (a*x - c)**i * (d - b*x)**(l-i).
-    The leading coefficient of that sum equals det(a*I + b*Phi_chi); when it
-    vanishes the mixed first slice is singular and the transform is rejected.
-    """
+
+def mobius_transform(chi: Poly, t: Mobius2x2) -> Poly:
+    """Image of a monic chi under the slice mix t (see mobius_image); raises
+    InadmissibleTransformError when the mixed first slice is singular."""
     if not chi.is_monic():
         raise NotMonicError("slice-mix substitution requires a monic polynomial")
     chi.field.require_same(t.field)
-    field = chi.field
-    l = chi.degree
-    if l == 0:
-        return chi
-    a, b, c, d = t.as_ints()
-    lead = 0
-    for i in range(l + 1):
-        lead = (lead + chi.coeff(i) * pow(a, i, field.p) * pow(-b % field.p, l - i, field.p)) % field.p
-    if lead == 0:
-        raise InadmissibleTransformError(
-            "slice mix sends this block off to a singular first slice"
-        )
-    num = Poly(field, (-c, a))   # a*x - c
-    den = Poly(field, (d, -b))   # d - b*x
-    acc = Poly.zero(field)
-    for i in range(l + 1):
-        ci = chi.coeff(i)
-        if ci == 0:
-            continue
-        acc = acc + ((num**i) * (den ** (l - i))).scale(ci)
-    eta = acc.scale(field.inv(lead))
-    assert eta.is_monic() and eta.degree == l
-    return eta
+    eta = mobius_image(chi.coeffs, *t.as_ints(), chi.field.p)
+    if eta is None:
+        raise InadmissibleTransformError("slice mix sends this block off to a singular first slice")
+    return Poly(chi.field, eta)

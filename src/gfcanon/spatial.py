@@ -15,12 +15,12 @@ a CanonicalSum label: equal labels if and only if equivalent tensors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import (
     DimensionMismatchError,
     FieldTooLargeForSearchError,
     FieldTooSmallError,
-    InadmissibleTransformError,
     NotRegularError,
     ParseError,
     SingularMatrixError,
@@ -30,8 +30,8 @@ from .errors import (
 )
 from .field import PrimeField
 from .linalg import Matrix, inverse, is_invertible, rref
-from .pencil import KroneckerForm, PencilBlock, frobenius_form, kronecker_form
-from .poly import Mobius2x2, Poly, mobius_transform
+from .pencil import KroneckerForm, frobenius_form, kronecker_form
+from .poly import Mobius2x2, Poly, mobius_image, mobius_transform
 
 
 class SpatialMatrix:
@@ -190,6 +190,12 @@ def apply_transform(a: SpatialMatrix, w: TransformWitness) -> SpatialMatrix:
     return SpatialMatrix(a.fld, out, m, n)
 
 
+def _verify(a: SpatialMatrix, w: TransformWitness, target: SpatialMatrix, stage: str):
+    """Raise WitnessError unless w carries a onto target (python -O keeps this)."""
+    if apply_transform(a, w) != target:
+        raise WitnessError(f"{stage} witness failed to verify")
+
+
 def two_step_realize(a: SpatialMatrix, w: TransformWitness) -> SpatialMatrix:
     """Same action, computed as matrix products then a slice mix.
 
@@ -295,7 +301,7 @@ def theorem1_form(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness]:
     w0 = TransformWitness(pw0.r, pw0.s, Matrix.identity(fld, 2))
     if not form0.inf:
         cs = CanonicalSum(fld, form0.right, form0.left, form0.finite)
-        assert apply_transform(a, w0) == cs.tensor()
+        _verify(a, w0, cs.tensor(), "theorem-1")
         return cs, w0
 
     if all(f.coeff(0) != 0 for f in form0.finite):
@@ -327,7 +333,7 @@ def theorem1_form(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness]:
             Matrix.identity(fld, a.m), Matrix.identity(fld, a.n), _t_matrix(mix)
         )
     ).compose(TransformWitness(pw1.r, pw1.s, Matrix.identity(fld, 2)))
-    assert apply_transform(a, w) == cs.tensor()
+    _verify(a, w, cs.tensor(), "theorem-1")
     return cs, w
 
 
@@ -337,53 +343,73 @@ _PGL2_CACHE: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
 def pgl2_reps(fld: PrimeField) -> tuple[tuple[int, int, int, int], ...]:
     """The p^3 - p invertible slice mixes up to scalar, first nonzero
     coordinate normalized to 1, in lexicographic order."""
-    if fld.p in _PGL2_CACHE:
-        return _PGL2_CACHE[fld.p]
     p = fld.p
-    reps = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p == 0:
-                        continue
-                    lead = next(x for x in (a, b, c, d) if x)
-                    if lead != 1:
-                        continue
-                    reps.append((a, b, c, d))
-    assert len(reps) == p**3 - p
-    _PGL2_CACHE[fld.p] = tuple(reps)
-    return _PGL2_CACHE[fld.p]
+    if p not in _PGL2_CACHE:
+        reps = [(0, 1, c, d) for c in range(1, p) for d in range(p)]
+        reps += [(1, b, c, d) for b in range(p) for c in range(p) for d in range(p)
+                 if (d - b * c) % p]
+        _PGL2_CACHE[p] = tuple(reps)
+    return _PGL2_CACHE[p]
+
+
+def _anchored_mixes(finite: tuple[Poly, ...]) -> list[tuple[int, int, int, int]]:
+    """The members of pgl2_reps that send some anchor to 0, in the same order.
+
+    An anchor is a root r of a least-degree divisor equal to (x - r)**l.  The mix
+    (a, b, c, d) sends r to (d*r + c)/(b*r + a): to 0 when c = -d*r and b*r + a != 0
+    (then d != 0, the mix being invertible)."""
+    fld, l = finite[0].field, finite[0].degree  # finite is sorted by degree
+    p = fld.p
+    anchors = {
+        r for f in finite if f.degree == l for r in range(p)
+        if not f.evaluate(r) and Poly(fld, (-r, 1)) ** l == f
+    }
+    pairs = [(0, 1)] + [(1, b) for b in range(p)]
+    return sorted((a, b, -d * r % p, d) for r in anchors for d in range(1, p)
+                  for a, b in pairs if (b * r + a) % p)
+
+
+def _image_keys(group, quad, p: int) -> list[tuple[int, ...]] | None:
+    """Sorted Poly.sort_key tails of the images of one degree group (ascending
+    coefficients) under quad; None if quad is inadmissible for one of them."""
+    keys = []
+    for coeffs in group:
+        eta = mobius_image(coeffs, *quad, p)
+        if eta is None:
+            return None
+        keys.append(tuple(-x % p for x in reversed(eta[:-1])))
+    return sorted(keys)
 
 
 def mobius_orbit_minimize(cs: CanonicalSum) -> tuple[CanonicalSum, Mobius2x2]:
-    """Lexicographically least label in the slice-mix orbit of cs.
+    """Least label in the slice-mix orbit of cs and the mix reaching it: the
+    identity when cs is least, else the first such mix in pgl2_reps order.
 
-    Scans every admissible mix; inadmissible ones (those driving a divisor
-    degree down) are skipped.  Minimizing is idempotent because the
+    Mixes keep divisor degrees; inadmissible ones (driving one down) are
+    skipped.  With anchors (see _anchored_mixes) the least label starts with
+    x**l, reached only by mixes sending an anchor to 0 (the translation
+    x -> x - r is one): O(k p^2) substitutions for k anchors, and all p^3 - p
+    mixes with none.  A candidate is dropped as soon as its least-degree images
+    sort above the best label's.  Minimizing is idempotent because the
     admissible-mix relation between labels is symmetric and transitive.
     """
-    fld = cs.fld
-    ident = Mobius2x2.from_ints(fld, 1, 0, 0, 1)
+    fld, p = cs.fld, cs.fld.p
     if not cs.finite:
-        return cs, ident
-    best = cs
-    best_t = ident
-    for quad in pgl2_reps(fld):
-        t = Mobius2x2.from_ints(fld, *quad)
-        try:
-            imgs = tuple(mobius_transform(f, t) for f in cs.finite)
-        except InadmissibleTransformError:
+        return cs, Mobius2x2.from_ints(fld, 1, 0, 0, 1)
+    groups = [[f.coeffs for f in g] for _, g in groupby(cs.finite, key=lambda f: f.degree)]
+    best = [_image_keys(g, (1, 0, 0, 1), p) for g in groups]
+    best_quad = None
+    for quad in _anchored_mixes(cs.finite) or pgl2_reps(fld):
+        first = _image_keys(groups[0], quad, p)
+        if first is None or first > best[0]:
             continue
-        cand = CanonicalSum(fld, cs.right, cs.left, imgs)
-        if cand.sort_key() < best.sort_key():
-            best = cand
-            best_t = t
-    return best, best_t
-
-
-def _block_layout(cs: CanonicalSum) -> list[PencilBlock]:
-    return cs.kronecker().blocks()
+        cand = [first] + [_image_keys(g, quad, p) for g in groups[1:]]
+        if None not in cand and cand < best:
+            best, best_quad = cand, quad
+    if best_quad is None:
+        return cs, Mobius2x2.from_ints(fld, 1, 0, 0, 1)
+    t = Mobius2x2.from_ints(fld, *best_quad)
+    return CanonicalSum(fld, cs.right, cs.left, tuple(mobius_transform(f, t) for f in cs.finite)), t
 
 
 def _mix_restore_witness(
@@ -400,7 +426,7 @@ def _mix_restore_witness(
     r_blocks: list[Matrix] = []
     s_blocks: list[Matrix] = []
     new_finite: list[Poly] = []
-    for blk in _block_layout(cs):
+    for blk in cs.kronecker().blocks():
         b1, b2 = blk.pair()
         m1 = b1.scale(ai) + b2.scale(bi)
         m2 = b1.scale(ci) + b2.scale(di)
@@ -485,8 +511,7 @@ def canonical_label(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness]:
     )
     w_fix = _mix_restore_witness(cs0, t, csm)
     w = w0.compose(w_mix).compose(w_fix)
-    if apply_transform(a, w) != csm.tensor():
-        raise WitnessError("canonicalization witness failed to verify")
+    _verify(a, w, csm.tensor(), "canonicalization")
     return csm, w
 
 
@@ -731,8 +756,7 @@ def classify_regular(a: SpatialMatrix) -> tuple[RegularClass22, TransformWitness
         rep_label, w_rep = canonical_label(rep)
         if rep_label == label:
             w = w_a.compose(w_rep.inverse())
-            if apply_transform(a, w) != rep:
-                raise WitnessError("classification witness failed to verify")
+            _verify(a, w, rep, "classification")
             return cls, w
     raise AssertionError("catalog must cover every regular tensor of these shapes")
 
@@ -784,8 +808,7 @@ def equivalent(
         wit_b = wb.compose(_embed_witness(kb, *b.dims))
 
     w = wit_a.compose(wit_b.inverse())
-    if apply_transform(a, w) != b:
-        raise WitnessError("equivalence witness failed to verify")
+    _verify(a, w, b, "equivalence")
     return True, w
 
 
