@@ -7,6 +7,8 @@ operation; those show up routinely as empty block sums and empty kernels.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import (
     DimensionMismatchError,
     InadmissibleTransformError,
@@ -37,17 +39,27 @@ class Matrix:
         self.n = n
         self.rows = rs
 
+    @staticmethod
+    def _trusted(field: PrimeField, rows: tuple, n: int) -> "Matrix":
+        """Internal constructor: rows must already be a tuple of width-n
+        tuples of ints in [0, p), so nothing is reduced or checked."""
+        mat = object.__new__(Matrix)
+        mat.field = field
+        mat.m = len(rows)
+        mat.n = n
+        mat.rows = rows
+        return mat
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(field: PrimeField, m: int, n: int) -> "Matrix":
-        return Matrix(field, [[0] * n for _ in range(m)], n)
+        return Matrix._trusted(field, ((0,) * n,) * m, n)
 
     @staticmethod
     def identity(field: PrimeField, n: int) -> "Matrix":
-        return Matrix(
-            field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n
-        )
+        rows = tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
+        return Matrix._trusted(field, rows, n)
 
     @staticmethod
     def from_cols(field: PrimeField, cols, m: int | None = None) -> "Matrix":
@@ -74,9 +86,8 @@ class Matrix:
         return tuple(r[j] for r in self.rows)
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
-        return Matrix(
-            self.field, [r[c0:c1] for r in self.rows[r0:r1]], c1 - c0
-        )
+        rows = tuple(r[c0:c1] for r in self.rows[r0:r1])
+        return Matrix._trusted(self.field, rows, len(range(self.n)[c0:c1]))
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.rows for x in r)
@@ -124,20 +135,15 @@ class Matrix:
         if self.n != other.m:
             raise DimensionMismatchError(f"matmul {self.shape} vs {other.shape}")
         p = self.field.p
-        ot = list(zip(*other.rows)) if other.rows else [()] * other.n
-        out = []
-        for ra in self.rows:
-            out.append(
-                [sum(a * b for a, b in zip(ra, oc)) % p for oc in ot]
-            )
-        return Matrix(self.field, out, other.n)
+        ot = tuple(zip(*other.rows)) if other.rows else ((),) * other.n
+        rows = tuple(
+            tuple(sum(map(mul, ra, oc)) % p for oc in ot) for ra in self.rows
+        )
+        return Matrix._trusted(self.field, rows, other.n)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            [[self.rows[i][j] for i in range(self.m)] for j in range(self.n)],
-            self.m,
-        )
+        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.n
+        return Matrix._trusted(self.field, rows, self.m)
 
     def pow(self, e: int) -> "Matrix":
         if self.m != self.n:
@@ -164,11 +170,8 @@ class Matrix:
             if b.m != m:
                 raise DimensionMismatchError("hstack row counts differ")
         n = sum(b.n for b in blocks)
-        return Matrix(
-            field,
-            [sum((list(b.rows[i]) for b in blocks), []) for i in range(m)],
-            n,
-        )
+        rows = tuple(sum((b.rows[i] for b in blocks), ()) for i in range(m))
+        return Matrix._trusted(field, rows, n)
 
     @staticmethod
     def vstack(blocks: list["Matrix"]) -> "Matrix":
@@ -180,24 +183,20 @@ class Matrix:
             field.require_same(b.field)
             if b.n != n:
                 raise DimensionMismatchError("vstack column counts differ")
-        rows = []
-        for b in blocks:
-            rows.extend(b.rows)
-        return Matrix(field, rows, n)
+        rows = sum((b.rows for b in blocks), ())
+        return Matrix._trusted(field, rows, n)
 
     @staticmethod
     def block_diag(field: PrimeField, blocks: list["Matrix"]) -> "Matrix":
-        m = sum(b.m for b in blocks)
         n = sum(b.n for b in blocks)
-        out = [[0] * n for _ in range(m)]
-        ri = ci = 0
+        rows = []
+        ci = 0
         for b in blocks:
             field.require_same(b.field)
-            for i in range(b.m):
-                out[ri + i][ci : ci + b.n] = b.rows[i]
-            ri += b.m
+            left, right = (0,) * ci, (0,) * (n - ci - b.n)
+            rows.extend(left + r + right for r in b.rows)
             ci += b.n
-        return Matrix(field, out, n)
+        return Matrix._trusted(field, tuple(rows), n)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -217,17 +216,18 @@ class Matrix:
         return f"Matrix(GF({self.field.p}), {self.m}x{self.n}, {list(map(list, self.rows))})"
 
 
-def rref(mat: Matrix) -> tuple[Matrix, Matrix, int]:
+def rref(mat: Matrix, record: bool = True) -> tuple[Matrix, Matrix | None, int]:
     """Reduced row echelon form.
 
     Returns (R, E, rank) with E invertible and E @ mat == R; R has unit
     pivots with zeros above and below, pivot columns strictly increasing,
-    zero rows last.  E is the row-op record (starts as identity).
+    zero rows last.  E is the row-op record (starts as identity); with
+    record=False it is not built and None comes back in its place.
     """
     p = mat.field.p
     field = mat.field
     a = [list(r) for r in mat.rows]
-    e = [[1 if i == j else 0 for j in range(mat.m)] for i in range(mat.m)]
+    e = [[1 if i == j else 0 for j in range(mat.m)] for i in range(mat.m)] if record else None
     rank = 0
     for col in range(mat.n):
         piv = None
@@ -237,25 +237,38 @@ def rref(mat: Matrix) -> tuple[Matrix, Matrix, int]:
                 break
         if piv is None:
             continue
+        # rows from `rank` down are zero left of col, so a row operation
+        # changes only the span from col to the pivot row's last nonzero
         a[rank], a[piv] = a[piv], a[rank]
-        e[rank], e[piv] = e[piv], e[rank]
-        inv = field.inv(a[rank][col])
+        row = a[rank]
+        end = mat.n
+        while not row[end - 1]:
+            end -= 1
+        inv = field.inv(row[col])
         if inv != 1:
-            a[rank] = [(x * inv) % p for x in a[rank]]
-            e[rank] = [(x * inv) % p for x in e[rank]]
-        for i in range(mat.m):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
-                e[i] = [(x - f * y) % p for x, y in zip(e[i], e[rank])]
+            row[col:end] = [(x * inv) % p for x in row[col:end]]
+        tail = row[col:end]
+        if record:
+            e[rank], e[piv] = e[piv], e[rank]
+            if inv != 1:
+                e[rank] = [(x * inv) % p for x in e[rank]]
+        for i, ai in enumerate(a):
+            f = ai[col]
+            if f and i != rank:
+                ai[col:end] = [(x - f * y) % p for x, y in zip(ai[col:end], tail)]
+                if record:
+                    e[i] = [(x - f * y) % p for x, y in zip(e[i], e[rank])]
         rank += 1
         if rank == mat.m:
             break
-    return Matrix(field, a, mat.n), Matrix(field, e, mat.m), rank
+    r = Matrix._trusted(field, tuple(map(tuple, a)), mat.n)
+    if not record:
+        return r, None, rank
+    return r, Matrix._trusted(field, tuple(map(tuple, e)), mat.m), rank
 
 
 def rank(mat: Matrix) -> int:
-    return rref(mat)[2]
+    return rref(mat, record=False)[2]
 
 
 def inverse(mat: Matrix) -> Matrix:
@@ -268,12 +281,12 @@ def inverse(mat: Matrix) -> Matrix:
 
 
 def is_invertible(mat: Matrix) -> bool:
-    return mat.m == mat.n and rref(mat)[2] == mat.n
+    return mat.m == mat.n and rank(mat) == mat.n
 
 
 def kernel_basis(mat: Matrix) -> Matrix:
     """Columns form a basis of the right kernel (n x k, k may be 0)."""
-    r, _, rk = rref(mat)
+    r, _, rk = rref(mat, record=False)
     pivots = []
     j = 0
     for i in range(rk):
@@ -289,8 +302,8 @@ def kernel_basis(mat: Matrix) -> Matrix:
         v[f] = 1
         for i, pc in enumerate(pivots):
             v[pc] = -r.rows[i][f] % mat.field.p
-        cols.append(v)
-    return Matrix.from_cols(mat.field, cols, mat.n)
+        cols.append(tuple(v))
+    return Matrix._trusted(mat.field, tuple(cols), mat.n).transpose()
 
 
 def solve_right(a: Matrix, b: Matrix) -> Matrix | None:

@@ -18,8 +18,9 @@ reduction re-checks itself against the synthesized block matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import DimensionMismatchError, SingularMatrixError, WitnessError
 from .field import PrimeField
 from .linalg import (
     Matrix,
@@ -31,6 +32,7 @@ from .linalg import (
     is_invertible,
     kernel_basis,
     poly_at_matrix,
+    rank,
     rref,
     solve_right,
 )
@@ -243,68 +245,35 @@ def frobenius_form(mat: Matrix) -> tuple[list[Poly], Matrix]:
 # -- kronecker form ------------------------------------------------------------
 
 
-def _poly_det(a1: Matrix, a2: Matrix) -> Poly:
-    """det(A1 + x*A2), fraction-free (Bareiss) over GF(p)[x]."""
-    fld = a1.field
-    n = a1.n
-    a = [
-        [Poly(fld, (a1.at(i, j), a2.at(i, j))) for j in range(n)]
-        for i in range(n)
-    ]
-    if n == 0:
-        return Poly.one(fld)
-    sign = 1
-    prev = Poly.one(fld)
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if not a[r][k].is_zero()), None)
-        if piv is None:
-            return Poly.zero(fld)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                q, rem = divmod(num, prev)
-                assert rem.is_zero()  # Sylvester identity: division is exact
-                a[i][j] = q
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+def _minimal_right_solution(b1: Matrix, b2: Matrix, d: int) -> list[list[int]]:
+    """Coefficients u_0..u_d of u(x) with (B1 + x B2) u(x) = 0, where d is
+    the least right minimal index of the pencil (see _right_widths).
 
-
-def _minimal_right_solution(b1: Matrix, b2: Matrix):
-    """Least d admitting u(x) = u_0 + ... + u_d x^d with (B1 + x B2) u(x) = 0.
-
-    Returns (d, [u_0..u_d]) or None when the pencil has full column rank
-    over the rational function field.  At the minimal d every kernel vector
-    has u_0 != 0, u_d != 0 and independent coefficients.
+    Solves the block-Toeplitz system of degree d; at the minimal d every
+    kernel vector has u_0 != 0, u_d != 0 and independent coefficients.
     """
     fld = b1.field
-    m, n = b1.shape
-    for d in range(n):
-        rows = []
-        for j in range(d + 2):
-            block = [[0] * (n * (d + 1)) for _ in range(m)]
-            for i in range(m):
-                if j <= d:
-                    block[i][j * n : (j + 1) * n] = b1.rows[i]
-                if 1 <= j:
-                    seg = list(b2.rows[i])
-                    lo = (j - 1) * n
-                    for t in range(n):
-                        block[i][lo + t] = (block[i][lo + t] + seg[t]) % fld.p
-            rows.extend(block)
-        ker = kernel_basis(Matrix(fld, rows, n * (d + 1)))
-        if ker.n:
-            v = ker.col(0)
-            us = [list(v[j * n : (j + 1) * n]) for j in range(d + 1)]
-            assert any(us[0]) and any(us[d])
-            tracker = SpanTracker(fld, n)
-            for u in us:
-                assert tracker.add(u), "minimal solution has dependent coefficients"
-            return d, us
-    return None
+    n = b1.n
+    zero = (0,) * n
+    rows = []
+    for j in range(d + 2):
+        for r1, r2 in zip(b1.rows, b2.rows):
+            blocks = [zero] * (d + 1)
+            if j <= d:
+                blocks[j] = r1
+            if j:
+                blocks[j - 1] = r2
+            rows.append(tuple(chain.from_iterable(blocks)))
+    ker = kernel_basis(Matrix._trusted(fld, tuple(rows), n * (d + 1)))
+    if not ker.n:
+        raise AssertionError(f"no right solution of degree {d}, the predicted minimal index")
+    v = ker.col(0)
+    us = [list(v[j * n : (j + 1) * n]) for j in range(d + 1)]
+    assert any(us[0]) and any(us[d])
+    tracker = SpanTracker(fld, n)
+    for u in us:
+        assert tracker.add(u), "minimal solution has dependent coefficients"
+    return us
 
 
 def _right_reduction(b1: Matrix, b2: Matrix, eps: int, us: list[list[int]]):
@@ -375,23 +344,59 @@ def _right_reduction(b1: Matrix, b2: Matrix, eps: int, us: list[list[int]]):
     return p1 @ p0, q0 @ q1
 
 
-def _chain_limit(e_in: Matrix, e_im: Matrix, start: Matrix) -> Matrix:
-    """Stable limit of V -> {v : e_in v in e_im V}, seeded with start.
+def _wong_step(e_in: Matrix, e_im: Matrix, cur: Matrix) -> Matrix:
+    """Basis of {v : e_in v in e_im V}, V the column span of cur.
 
-    Basis columns come from the row-reduced span of the projected kernel of
-    [e_in | -e_im B_V], so the result is canonical for a given input.
+    That space is the projection of the kernel of [e_in | e_im B_V] onto
+    its first coordinates; the basis columns are the rows of its reduced
+    row echelon form, so the result depends only on the space.
     """
-    fld = e_in.field
-    r = e_in.n
+    ker = kernel_basis(Matrix.hstack([e_in, e_im @ cur]))
+    reduced, _, rk = rref(ker.submatrix(0, e_in.n, 0, ker.n).transpose(), record=False)
+    return reduced.submatrix(0, rk, 0, e_in.n).transpose()
+
+
+def _chain_limit(e_in: Matrix, e_im: Matrix, start: Matrix) -> Matrix:
+    """Stable limit of V -> {v : e_in v in e_im V}, seeded with start."""
     cur = start
     while True:
-        ker = kernel_basis(Matrix.hstack([e_in, -(e_im @ cur)]))
-        vparts = [list(ker.col(c)[:r]) for c in range(ker.n)]
-        reduced, _, rk = rref(Matrix(fld, vparts, r))
-        nxt = Matrix(fld, reduced.rows[:rk], r).transpose()
+        nxt = _wong_step(e_in, e_im, cur)
         if nxt.n == cur.n:
             return nxt
         cur = nxt
+
+
+def _right_widths(a1: Matrix, a2: Matrix) -> list[int]:
+    """Widths r_j (minimal index + 1) of the right-singular blocks, ascending.
+
+    With V* the limit of V -> {v : A2 v in A1 V} from the whole space and
+    W_i the iterates of W -> {v : A1 v in A2 W} from 0 (Wong sequences),
+    dim(W_i & V*) = sum_j min(i, r_j): each right block contributes its
+    last min(i, r_j) coordinates, while nilpotent blocks lie outside V*
+    and left and finite blocks outside every W_i.  So the first
+    differences count the widths >= i, and the iteration stops once they
+    reach 0.  Costs O(n) Wong steps of O(n^3) each.
+    """
+    fld = a1.field
+    n = a1.n
+    w = _wong_step(a1, a2, Matrix.zero(fld, n, 0))  # ker A1
+    if w.n == 0:
+        return []
+    v_star = _chain_limit(a2, a1, Matrix.identity(fld, n))
+    at_least = []  # at_least[i - 1] = #{j : r_j >= i}
+    prev = 0
+    while True:
+        dim = w.n + v_star.n - rank(Matrix.hstack([w, v_star]))
+        if dim == prev:
+            break
+        at_least.append(dim - prev)
+        prev = dim
+        w = _wong_step(a1, a2, w)
+    at_least.append(0)
+    widths = []
+    for i in range(len(at_least) - 1):
+        widths += [i + 1] * (at_least[i] - at_least[i + 1])
+    return widths
 
 
 def _regular_reduction(e1: Matrix, e2: Matrix):
@@ -455,32 +460,33 @@ def kronecker_form(a1: Matrix, a2: Matrix) -> tuple[KroneckerForm, PairWitness]:
         b1 = p_full @ b1 @ q_full
         b2 = p_full @ b2 @ q_full
 
-    regular_already = m == n and not _poly_det(a1, a2).is_zero()
-
-    if not regular_already:
-        while n - col0 > 0:
-            s1 = b1.submatrix(row0, m, col0, n)
-            s2 = b2.submatrix(row0, m, col0, n)
-            found = _minimal_right_solution(s1, s2)
-            if found is None:
-                break
-            eps, us = found
-            p_loc, q_loc = _right_reduction(s1, s2, eps, us)
-            embed_apply(p_loc, q_loc)
-            right.append(eps + 1)
-            row0 += eps
-            col0 += eps + 1
-        while m - row0 > n - col0:
-            s1 = b1.submatrix(row0, m, col0, n)
-            s2 = b2.submatrix(row0, m, col0, n)
-            found = _minimal_right_solution(s1.transpose(), s2.transpose())
-            assert found is not None, "row surplus forces a left-singular block"
-            eps, us = found
-            pt, qt = _right_reduction(s1.transpose(), s2.transpose(), eps, us)
-            embed_apply(qt.transpose(), pt.transpose())
-            left.append(eps + 1)
-            row0 += eps + 1
-            col0 += eps
+    # blocks come off smallest first, so the remainder's least minimal
+    # index is always the next predicted width minus one
+    for r in _right_widths(a1, a2):
+        s1 = b1.submatrix(row0, m, col0, n)
+        s2 = b2.submatrix(row0, m, col0, n)
+        us = _minimal_right_solution(s1, s2, r - 1)
+        embed_apply(*_right_reduction(s1, s2, r - 1, us))
+        right.append(r)
+        row0 += r - 1
+        col0 += r
+    # left blocks are the right blocks of the transposed remainder; each
+    # right block has one column more than rows, each left block one row more
+    n_left = m - n + len(right)
+    lefts = []
+    if n_left:
+        lefts = _right_widths(*(b.submatrix(row0, m, col0, n).transpose() for b in (b1, b2)))
+        if len(lefts) != n_left:
+            raise AssertionError("row surplus must equal the number of left-singular blocks")
+    for s in lefts:
+        t1 = b1.submatrix(row0, m, col0, n).transpose()
+        t2 = b2.submatrix(row0, m, col0, n).transpose()
+        us = _minimal_right_solution(t1, t2, s - 1)
+        pt, qt = _right_reduction(t1, t2, s - 1, us)
+        embed_apply(qt.transpose(), pt.transpose())
+        left.append(s)
+        row0 += s
+        col0 += s - 1
 
     s1 = b1.submatrix(row0, m, col0, n)
     s2 = b2.submatrix(row0, m, col0, n)
@@ -490,7 +496,7 @@ def kronecker_form(a1: Matrix, a2: Matrix) -> tuple[KroneckerForm, PairWitness]:
 
     assert right == sorted(right) and left == sorted(left)
     form = KroneckerForm(fld, tuple(right), tuple(left), tuple(inf_sizes), tuple(finite))
-    c1, c2 = form.matrices()
-    assert b1 == c1 and b2 == c2, "reduction must land exactly on the block form"
+    if (b1, b2) != form.matrices():
+        raise WitnessError("kronecker_form witness failed to verify")
     witness = PairWitness(p_tot.transpose(), q_tot)
     return form, witness

@@ -29,7 +29,7 @@ from .errors import (
     WrongSliceCountError,
 )
 from .field import PrimeField
-from .linalg import Matrix, inverse, is_invertible, rref
+from .linalg import Matrix, inverse, is_invertible, rank, rref
 from .pencil import KroneckerForm, frobenius_form, kronecker_form
 from .poly import Mobius2x2, Poly, mobius_image, mobius_transform
 
@@ -538,7 +538,7 @@ def _family_ranks(a: SpatialMatrix) -> tuple[int, int, int]:
         [[a.at(i, j, k) for i in range(m) for j in range(n)] for k in range(q)],
         m * n,
     )
-    return (rref(row_stack)[2], rref(col_stack)[2], rref(slice_stack)[2])
+    return (rank(row_stack), rank(col_stack), rank(slice_stack))
 
 
 def is_regular(a: SpatialMatrix) -> bool:
@@ -590,8 +590,7 @@ def regular_part(a: SpatialMatrix) -> tuple[SpatialMatrix, TransformWitness]:
         fld, [cur[k].submatrix(0, m2, 0, n2) for k in range(q2)], m2, n2
     )
     w = TransformWitness(e_r.transpose(), s_mat, e_t.transpose())
-    padded = SpatialMatrix(fld, cur, m, n)
-    assert apply_transform(a, w) == padded
+    _verify(a, w, SpatialMatrix(fld, cur, m, n), "regular_part")
     for k in range(q2, q):
         assert cur[k].is_zero()
     for k in range(q2):

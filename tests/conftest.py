@@ -1,7 +1,13 @@
 """Shared builders for randomized tests. Everything is seeded explicitly."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import gfcanon
 from gfcanon import Matrix, Poly, PrimeField, SpatialMatrix, TransformWitness
 
 
@@ -42,3 +48,17 @@ def rand_witness(
 def rand_monic(rng: random.Random, fld: PrimeField, degree: int) -> Poly:
     coeffs = [rng.randrange(fld.p) for _ in range(degree)] + [1]
     return Poly(fld, coeffs)
+
+
+def run_python_O(tmp_path, source: str) -> str:
+    """Run source in a fresh `python -O` interpreter that imports this
+    checkout's gfcanon; return its stdout after checking it exited 0."""
+    script = tmp_path / "under_O.py"
+    script.write_text(textwrap.dedent(source))
+    src = str(Path(gfcanon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", str(script)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()

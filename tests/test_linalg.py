@@ -76,6 +76,41 @@ def test_rref_properties():
             assert all(x == 0 for x in r.row(i))
 
 
+def test_rref_without_record_matches():
+    rng = random.Random(3)
+    shapes = [(0, 4), (3, 0), (0, 0)]
+    shapes += [(rng.randrange(0, 9), rng.randrange(0, 9)) for _ in range(300)]
+    for m, n in shapes:
+        fld = FIELDS[rng.randrange(3)]
+        k = rng.randrange(0, min(m, n) + 1)
+        if rng.randrange(2):
+            a = rand_matrix(rng, fld, m, k) @ rand_matrix(rng, fld, k, n)  # rank <= k
+        else:  # sparse rows, so row operations stop short of the last column
+            entry = lambda: rng.randrange(fld.p) if rng.random() < 0.3 else 0
+            a = Matrix(fld, [[entry() for _ in range(n)] for _ in range(m)], n)
+        r, e, rk = rref(a)
+        r2, e2, rk2 = rref(a, record=False)
+        assert e2 is None and rk2 == rk and r2 == r and r2.shape == (m, n)
+        assert e @ a == r and rref(r, record=False)[0] == r
+        assert r2 == Matrix(fld, r2.rows, n)  # already reduced, well-formed rows
+
+
+def test_public_constructor_validates():
+    m = Matrix(F5, [[7, -1], [10, 12]], 2)
+    assert m.rows == ((2, 4), (0, 2))
+    with pytest.raises(DimensionMismatchError):
+        Matrix(F5, [[1, 2], [3]])
+    with pytest.raises(DimensionMismatchError):
+        Matrix(F5, [[1, 2]], 3)
+    # degenerate shapes survive the internal constructors
+    for a in (Matrix(F5, [], 3), Matrix.zero(F5, 2, 0)):
+        assert a.transpose().shape == a.shape[::-1]
+        assert (a @ Matrix.zero(F5, a.n, 2)).shape == (a.m, 2)
+        assert Matrix.hstack([a, a]).shape == (a.m, 2 * a.n)
+        assert Matrix.vstack([a, a]).shape == (2 * a.m, a.n)
+        assert a.submatrix(0, a.m, 0, a.n) == a
+
+
 def test_rank_equals_transpose_rank():
     rng = random.Random(8)
     for _ in range(200):

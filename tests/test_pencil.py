@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import rand_invertible, rand_matrix, rand_monic
+from conftest import rand_invertible, rand_matrix, rand_monic, run_python_O
 from gfcanon import (
     KroneckerForm,
     Matrix,
@@ -12,8 +12,11 @@ from gfcanon import (
     PrimeField,
     char_poly,
     companion,
+    factor_prime_powers,
     frobenius_form,
+    kernel_basis,
     kronecker_form,
+    pencil,
 )
 from gfcanon.errors import DimensionMismatchError
 
@@ -188,3 +191,140 @@ def test_pair_witness_compose_inverse():
 def test_form_round_trips_through_dict():
     form = KroneckerForm(F3, (1,), (), (2,), (Poly(F3, [2, 1]),))
     assert KroneckerForm.from_dict(form.to_dict()) == form
+
+
+# -- minimal indices: Wong-sequence counts against the Toeplitz search -------------
+
+
+def _toeplitz_search(b1, b2):
+    """The d-by-d search: least d whose degree-d block-Toeplitz system
+    (B1 + x B2)(u_0 + ... + u_d x^d) = 0 has a kernel, with that kernel."""
+    fld = b1.field
+    m, n = b1.shape
+    for d in range(n):
+        rows = []
+        for j in range(d + 2):
+            for i in range(m):
+                row = [0] * (n * (d + 1))
+                if j <= d:
+                    row[j * n : (j + 1) * n] = b1.rows[i]
+                if j >= 1:
+                    row[(j - 1) * n : j * n] = b2.rows[i]
+                rows.append(row)
+        ker = kernel_basis(Matrix(fld, rows, n * (d + 1)))
+        if ker.n:
+            return d, ker
+    return None
+
+
+def _searched_right_widths(b1, b2):
+    """Right widths found by searching the least d, splitting that block
+    off and searching the rest again; also returns the remainder."""
+    widths = []
+    while b1.n:
+        found = _toeplitz_search(b1, b2)
+        if found is None:
+            break
+        d, ker = found
+        m, n = b1.shape
+        v = ker.col(0)
+        us = [list(v[j * n : (j + 1) * n]) for j in range(d + 1)]
+        p, q = pencil._right_reduction(b1, b2, d, us)
+        b1 = (p @ b1 @ q).submatrix(d, m, d + 1, n)
+        b2 = (p @ b2 @ q).submatrix(d, m, d + 1, n)
+        widths.append(d + 1)
+    return widths, b1, b2
+
+
+def _rand_planted(rng, fld, max_m, max_n):
+    """A random Kronecker form that fits max_m x max_n, scrambled."""
+    while True:
+        right = [rng.randrange(1, 5) for _ in range(rng.randrange(0, 3))]
+        left = [rng.randrange(1, 5) for _ in range(rng.randrange(0, 3))]
+        inf = [rng.randrange(1, 3) for _ in range(rng.randrange(0, 2))]
+        finite = []
+        for _ in range(rng.randrange(0, 3)):
+            chi = rand_monic(rng, fld, rng.randrange(1, 3))
+            finite += [f.base**f.exp for f in factor_prime_powers(chi)]
+        form = KroneckerForm(fld, tuple(right), tuple(left), tuple(inf), tuple(finite))
+        m, n = form.shape
+        if m <= max_m and n <= max_n:
+            break
+    w = PairWitness(rand_invertible(rng, fld, m), rand_invertible(rng, fld, n))
+    return form, w.apply(*form.matrices())
+
+
+def test_wong_widths_match_toeplitz_search():
+    # 80 pencils of each kind, 20 of them at each p
+    rng = random.Random(77)
+    fields = [PrimeField(p) for p in (2, 3, 5, 7)]
+    kinds = ("random", "rank-deficient", "rectangular", "planted")
+    for it in range(320):
+        fld = fields[it % 4]
+        kind = kinds[(it // 4) % 4]
+        if kind == "random":
+            m, n = rng.randrange(0, 9), rng.randrange(0, 10)
+            a1, a2 = rand_matrix(rng, fld, m, n), rand_matrix(rng, fld, m, n)
+        elif kind == "rank-deficient":
+            m, n = rng.randrange(1, 9), rng.randrange(1, 10)
+            k1, k2 = rng.randrange(0, min(m, n)), rng.randrange(0, min(m, n) + 1)
+            a1 = rand_matrix(rng, fld, m, k1) @ rand_matrix(rng, fld, k1, n)
+            a2 = rand_matrix(rng, fld, m, k2) @ rand_matrix(rng, fld, k2, n)
+        elif kind == "rectangular":
+            m = rng.randrange(1, 9)
+            n = min(9, max(0, m + rng.choice((-3, -2, -1, 1, 2, 3))))
+            a1, a2 = rand_matrix(rng, fld, m, n), rand_matrix(rng, fld, m, n)
+        else:
+            planted, (a1, a2) = _rand_planted(rng, fld, 8, 9)
+        m, n = a1.shape
+        right, r1, r2 = _searched_right_widths(a1, a2)
+        left, _, _ = _searched_right_widths(r1.transpose(), r2.transpose())
+        assert pencil._right_widths(a1, a2) == right
+        assert pencil._right_widths(a1.transpose(), a2.transpose()) == left
+        assert len(left) == m - n + len(right)
+        form, w = kronecker_form(a1, a2)
+        assert (list(form.right), list(form.left)) == (right, left)
+        if kind == "planted":
+            assert form == planted
+
+
+def test_planted_large_pencil_recovered_exactly():
+    # 25 x 25, far beyond the oracle: two right blocks, two left blocks,
+    # two nilpotent blocks and a repeated linear divisor
+    fld = PrimeField(7)
+    rng = random.Random(2012)
+    x_minus_3 = Poly(fld, [-3, 1])
+    planted = KroneckerForm(fld, (5, 8), (3, 6), (1, 2), (x_minus_3, x_minus_3))
+    assert planted.shape == (25, 25)
+    c1, c2 = planted.matrices()
+    scramble = PairWitness(rand_invertible(rng, fld, 25), rand_invertible(rng, fld, 25))
+    a1, a2 = scramble.apply(c1, c2)
+    form, w = kronecker_form(a1, a2)
+    assert form == planted
+    assert w.apply(a1, a2) == (c1, c2)
+
+
+@pytest.mark.parametrize("stage, corrupt, pencil_rows", [
+    ("_regular_reduction", "p.scale(2), q, *rest", "[[1, 0], [0, 1]], [[1, 0], [0, 2]]"),
+    ("_right_reduction", "p.scale(2), q", "[[1, 0]], [[0, 1]]"),
+], ids=["regular", "right"])
+def test_kronecker_witness_checked_under_python_O(tmp_path, stage, corrupt, pencil_rows):
+    # the stage returns a wrong row factor; only the final check can see it
+    out = run_python_O(tmp_path, f"""
+        from gfcanon import Matrix, PrimeField, WitnessError, pencil
+
+        stage = pencil.{stage}
+
+        def corrupted(*args):
+            p, q, *rest = stage(*args)
+            return {corrupt}
+
+        pencil.{stage} = corrupted
+        f = PrimeField(5)
+        b1, b2 = {pencil_rows}
+        try:
+            pencil.kronecker_form(Matrix(f, b1, 2), Matrix(f, b2, 2))
+        except WitnessError as exc:
+            print(__debug__, exc)
+    """)
+    assert out == "False kronecker_form witness failed to verify"

@@ -1,16 +1,10 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
-import textwrap
 import time
-from pathlib import Path
 
 import pytest
 
-import gfcanon
-from conftest import rand_invertible, rand_monic, rand_tensor, rand_witness
+from conftest import rand_invertible, rand_monic, rand_tensor, rand_witness, run_python_O
 from gfcanon import (
     CanonicalSum,
     Matrix,
@@ -320,8 +314,7 @@ def test_canonical_label_large_field_with_linear_divisor():
 def test_label_witness_checked_under_python_O(tmp_path):
     # x and x - 1 are already least, so canonical_label returns the
     # theorem-1 witness as it is: only that stage's check can catch it
-    script = tmp_path / "corrupt.py"
-    script.write_text(textwrap.dedent("""
+    out = run_python_O(tmp_path, """
         from gfcanon import PrimeField, SpatialMatrix, WitnessError, spatial
         from gfcanon.pencil import PairWitness
 
@@ -337,14 +330,23 @@ def test_label_witness_checked_under_python_O(tmp_path):
             spatial.canonical_label(a)
         except WitnessError as exc:
             print(__debug__, exc)
-    """))
-    src = str(Path(gfcanon.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-O", str(script)], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False theorem-1 witness failed to verify"
+    """)
+    assert out == "False theorem-1 witness failed to verify"
+
+
+def test_regular_part_witness_checked_under_python_O(tmp_path):
+    out = run_python_O(tmp_path, """
+        from gfcanon import PrimeField, SpatialMatrix, WitnessError, spatial
+
+        witness = spatial.TransformWitness
+        spatial.TransformWitness = lambda r, s, t: witness(r.scale(2), s, t)
+        a = SpatialMatrix(PrimeField(5), [[[1, 0], [0, 0]], [[0, 1], [0, 0]]], 2, 2)
+        try:
+            spatial.regular_part(a)
+        except WitnessError as exc:
+            print(__debug__, exc)
+    """)
+    assert out == "False regular_part witness failed to verify"
 
 
 def test_canonical_label_invariant_and_witnessed():
