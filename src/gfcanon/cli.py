@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from . import poly as _poly
 from .errors import (
     FieldTooSmallError,
     NotRegularError,
@@ -165,8 +164,6 @@ def _build_parser() -> _Parser:
     def common(sp, witness=True):
         sp.add_argument("--p", type=int, default=None,
                         help="assert the document's modulus (never overrides)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="seed for internal randomized search order")
         if witness:
             sp.add_argument("--witness", action="store_true",
                             help="emit the transform certificate too")
@@ -201,12 +198,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--shape", required=True, help="MxNxQ, e.g. 2x2x2")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(fn=_cmd_orbit)
 
     sp = sub.add_parser("list-canonical", help="catalog of regular class representatives for GF(p)")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(fn=_cmd_list_canonical)
 
     return parser
@@ -214,8 +209,6 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is not None:
-        _poly.DEFAULT_SEED = args.seed
     try:
         return args.fn(args)
     except ParseError as exc:

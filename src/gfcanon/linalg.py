@@ -7,6 +7,8 @@ operation; those show up routinely as empty block sums and empty kernels.
 
 from __future__ import annotations
 
+from itertools import chain
+from math import isqrt
 from operator import mul
 
 from .errors import (
@@ -16,7 +18,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .field import PrimeField
-from .poly import Mobius2x2, Poly
+from .poly import Mobius2x2, Poly, add_coeffs
 
 
 class Matrix:
@@ -144,18 +146,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.n
         return Matrix._trusted(self.field, rows, self.m)
-
-    def pow(self, e: int) -> "Matrix":
-        if self.m != self.n:
-            raise DimensionMismatchError("matrix power needs a square matrix")
-        result = Matrix.identity(self.field, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
 
     # -- stacking ------------------------------------------------------------
 
@@ -357,19 +347,22 @@ def char_poly(mat: Matrix) -> Poly:
                 h[i] = [(x - f * y) % p for x, y in zip(h[i], h[j + 1])]
                 for row in h:
                     row[j + 1] = (row[j + 1] + f * row[i]) % p
-    # p_i(x) = (x - h_ii) p_{i-1} - sum_k h_ki (prod subdiag) p_{k-1}
-    polys = [Poly.one(field)]
+    # p_i(x) = (x - h_ii) p_{i-1} - sum_k h_ki (prod subdiag) p_{k-1},
+    # on coefficient lists
+    polys = [[1]]
     for i in range(1, n + 1):
-        x_minus = Poly(field, (-h[i - 1][i - 1], 1))
-        cur = x_minus * polys[i - 1]
+        prev = polys[i - 1]
+        cur = add_coeffs([0] + prev, prev, p, -h[i - 1][i - 1])
         prod = 1
         for k in range(i - 1, 0, -1):
             prod = (prod * h[k][k - 1]) % p
+            if not prod:
+                break
             coef = (h[k - 1][i - 1] * prod) % p
             if coef:
-                cur = cur - polys[k - 1].scale(coef)
+                cur = add_coeffs(cur, polys[k - 1], p, -coef)
         polys.append(cur)
-    return polys[n]
+    return Poly(field, polys[n])
 
 
 def companion(chi: Poly) -> Matrix:
@@ -387,17 +380,50 @@ def companion(chi: Poly) -> Matrix:
     return Matrix(field, out, l)
 
 
-def poly_at_matrix(f: Poly, mat: Matrix) -> Matrix:
-    """Evaluate f at a square matrix (Horner)."""
+def poly_evaluator(mat: Matrix, degree: int):
+    """Evaluator of polynomials of degree <= `degree` at the square mat.
+
+    Paterson-Stockmeyer: with s = ceil(sqrt(degree + 1)) the baby steps
+    I, M, ..., M^(s-1) are built once, and the giant step G = M^s only when
+    degree >= s.  f = sum_k C_k(M) G^k, where each C_k collects s
+    coefficients, is then evaluated by Horner's rule in G, each C_k(M) a
+    combination of the baby steps on int rows.  Building costs s - 1
+    products, and each f costs ceil((deg f + 1) / s) - 1 more.  The returned
+    function takes ascending int coefficients and returns a Matrix.
+    """
     if mat.m != mat.n:
         raise DimensionMismatchError("polynomial evaluation needs a square matrix")
-    acc = Matrix.zero(mat.field, mat.n, mat.n)
-    ident = Matrix.identity(mat.field, mat.n)
-    for c in reversed(f.coeffs):
-        acc = acc @ mat
-        if c:
-            acc = acc + ident.scale(c)
-    return acc
+    field = mat.field
+    p = field.p
+    n = mat.n
+    s = isqrt(max(degree, 0)) + 1
+    babies = [Matrix.identity(field, n), mat][:s]
+    while len(babies) < s:
+        babies.append(babies[-1] @ mat)
+    # cells[r * n + c] lists entry (r, c) of every baby step
+    cells = list(zip(*(tuple(chain.from_iterable(b.rows)) for b in babies)))
+    giant_cols = tuple(zip(*(babies[-1] @ mat).rows)) if degree >= s else None
+
+    def evaluate(coeffs) -> Matrix:
+        acc = None
+        for k in range(((len(coeffs) - 1) // s) * s, -1, -s):
+            chunk = coeffs[k : k + s]
+            part = [sum(map(mul, chunk, cell)) for cell in cells]
+            if acc is not None:
+                it = iter(part)
+                part = [sum(map(mul, row, gc)) + next(it) for row in acc for gc in giant_cols]
+            acc = tuple(tuple(x % p for x in part[r * n : (r + 1) * n]) for r in range(n))
+        if acc is None:
+            return Matrix.zero(field, n, n)
+        return Matrix._trusted(field, acc, n)
+
+    return evaluate
+
+
+def poly_at_matrix(f: Poly, mat: Matrix) -> Matrix:
+    """Evaluate f at a square matrix (see poly_evaluator)."""
+    mat.field.require_same(f.field)
+    return poly_evaluator(mat, f.degree)(f.coeffs)
 
 
 class SpanTracker:

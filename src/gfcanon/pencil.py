@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import mul
 
 from .errors import DimensionMismatchError, SingularMatrixError, WitnessError
 from .field import PrimeField
@@ -31,7 +32,7 @@ from .linalg import (
     inverse,
     is_invertible,
     kernel_basis,
-    poly_at_matrix,
+    poly_evaluator,
     rank,
     rref,
     solve_right,
@@ -184,62 +185,63 @@ def frobenius_form(mat: Matrix) -> tuple[list[Poly], Matrix]:
     if n == 0:
         return [], Matrix.identity(fld, 0)
 
-    chi = char_poly(mat)
-    heads: list[tuple[Poly, list[Matrix]]] = []  # (divisor, krylov columns)
-    for pf in factor_prime_powers(chi):
+    p = fld.p
+    factors = factor_prime_powers(char_poly(mat))
+    evaluate = poly_evaluator(mat, max(pf.base.degree for pf in factors))
+
+    def krylov(v, k):
+        """v, Mv, ..., M^(k-1) v, by int mat-vecs."""
+        out = [v]
+        for _ in range(k - 1):
+            out.append([sum(map(mul, r, out[-1])) % p for r in mat.rows])
+        return out
+
+    heads: list[tuple[Poly, list]] = []  # (divisor, krylov vectors)
+    for pf in factors:
         pi, mult = pf.base, pf.exp
         d = pi.degree
-        b = poly_at_matrix(pi, mat)
-        # kernel filtration of the primary component
-        powers = [Matrix.identity(fld, n)]
-        kernels = [kernel_basis(powers[0])]  # ker I, the zero space
-        while kernels[-1].n < mult * d:
-            powers.append(powers[-1] @ b)
-            kernels.append(kernel_basis(powers[-1]))
+        b = evaluate(pi.coeffs)
+        # kernel filtration of the primary component; kernels[0] is ker I = 0
+        power = b
+        kernels = [(), kernel_basis(b).transpose().rows]
+        while len(kernels[-1]) < mult * d:
+            power = power @ b
+            kernels.append(kernel_basis(power).transpose().rows)
         top = len(kernels) - 1
         active: list[tuple[int, list[int]]] = []  # (level introduced, vector)
         for j in range(top, 0, -1):
             tracker = SpanTracker(fld, n)
-            for c in range(kernels[j - 1].n):
-                tracker.add(kernels[j - 1].col(c))
+            for c in kernels[j - 1]:
+                tracker.add(c)
             base_dim = tracker.dim
             for _, w in active:
                 assert not tracker.contains(w), "mapped-down chain heads collide"
-                v = list(w)
-                for _ in range(d):
+                for v in krylov(w, d):
                     tracker.add(v)
-                    v = list((mat @ Matrix.from_cols(fld, [v], n)).col(0))
                 assert tracker.dim == base_dim + d
                 base_dim = tracker.dim
-            for c in range(kernels[j].n):
-                cand = list(kernels[j].col(c))
+            for cand in kernels[j]:
                 if tracker.contains(cand):
                     continue
-                v = list(cand)
-                for _ in range(d):
+                vs = krylov(cand, j * d)
+                for v in vs[:d]:
                     tracker.add(v)
-                    v = list((mat @ Matrix.from_cols(fld, [v], n)).col(0))
                 assert tracker.dim == base_dim + d
                 base_dim = tracker.dim
                 active.append((j, cand))
-                krylov = []
-                u = Matrix.from_cols(fld, [cand], n)
-                for _ in range(j * d):
-                    krylov.append(u)
-                    u = mat @ u
-                heads.append((pi**j, krylov))
+                heads.append((pi**j, vs))
             # push every chain one level down for the next pass
-            active = [(lv, list((b @ Matrix.from_cols(fld, [w], n)).col(0))) for lv, w in active]
+            active = [(lv, [sum(map(mul, r, w)) % p for r in b.rows]) for lv, w in active]
 
     heads.sort(key=lambda h: h[0].sort_key())
     divisors = [h[0] for h in heads]
-    cols = [k.col(0) for h in heads for k in h[1]]
-    p = Matrix.from_cols(fld, cols, n)
+    cols = [v for h in heads for v in h[1]]
+    basis = Matrix._trusted(fld, tuple(zip(*cols)), len(cols))
     d = Matrix.block_diag(fld, [companion(q) for q in divisors])
-    if not is_invertible(p):
+    if not is_invertible(basis):
         raise AssertionError("chain basis failed to span")
-    assert mat @ p == p @ d
-    return divisors, p
+    assert mat @ basis == basis @ d
+    return divisors, basis
 
 
 # -- kronecker form ------------------------------------------------------------

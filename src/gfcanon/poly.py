@@ -3,15 +3,17 @@
 Coefficients are stored ascending (coeffs[i] multiplies x**i) as plain ints,
 normalized so the last entry is nonzero; the zero polynomial has an empty
 tuple and degree -1.  Includes gcd, modular exponentiation, prime-power
-factorization (distinct-degree + Cantor-Zassenhaus equal-degree splitting),
-and the fractional-linear substitution on monic polynomials used by the
-two-slice mixing step.
+factorization (distinct-degree with Berlekamp's Q matrix + Cantor-Zassenhaus
+equal-degree splitting), and the fractional-linear substitution on monic
+polynomials used by the two-slice mixing step.  The arithmetic itself is one
+core of functions on plain coefficient lists, which Poly wraps.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     InadmissibleTransformError,
@@ -21,6 +23,94 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .field import FieldElem, PrimeField
+
+
+# -- coefficient-list core -----------------------------------------------------
+#
+# Ascending lists of ints in [0, p) whose last entry is nonzero; [] is the
+# zero polynomial.  Poly's arithmetic, poly_gcd, poly_powmod, the factoring
+# below and linalg.char_poly all run on these, so each operation exists once.
+
+
+def _trim(cs: list[int]) -> list[int]:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def add_coeffs(a, b, p: int, c: int = 1) -> list[int]:
+    """a + c*b."""
+    out = list(a) + [0] * (len(b) - len(a))
+    out[: len(b)] = [(u + c * y) % p for u, y in zip(out, b)]
+    return _trim(out)
+
+
+def mul_coeffs(a, b, p: int) -> list[int]:
+    """a*b; the leading coefficient is a product of nonzeros, so never 0."""
+    if not a or not b:
+        return []
+    lb = len(b)
+    out = [0] * (len(a) + lb - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + lb] = [u + x * y for u, y in zip(out[i : i + lb], b)]
+    return [u % p for u in out]
+
+
+def pow_coeffs(a, e: int, p: int) -> list[int]:
+    result = [1]
+    while e:
+        if e & 1:
+            result = mul_coeffs(result, a, p)
+        e >>= 1
+        if e:
+            a = mul_coeffs(a, a, p)
+    return result
+
+
+def divmod_coeffs(a, b, p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero b."""
+    db = len(b) - 1
+    dq = len(a) - 1 - db
+    if dq < 0:
+        return [], list(a)
+    inv = pow(b[-1], -1, p)
+    rem = list(a)
+    quo = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[k + db] * inv % p
+        if c:
+            quo[k] = c
+            # rem[k + db] becomes 0 and is never read again
+            rem[k : k + db] = [(u - c * y) % p for u, y in zip(rem[k : k + db], b)]
+    return quo, _trim(rem[:db])
+
+
+def mod_coeffs(a, b, p: int) -> list[int]:
+    return divmod_coeffs(a, b, p)[1]
+
+
+def gcd_coeffs(a, b, p: int) -> list[int]:
+    """Monic gcd; the gcd of two zeros is []."""
+    while b:
+        a, b = b, mod_coeffs(a, b, p)
+    if not a:
+        return []
+    inv = pow(a[-1], -1, p)
+    return [u * inv % p for u in a]
+
+
+def powmod_coeffs(base, e: int, m, p: int) -> list[int]:
+    """base**e mod a nonzero m, by repeated squaring."""
+    result = mod_coeffs([1], m, p)
+    base = mod_coeffs(base, m, p)
+    while e:
+        if e & 1:
+            result = mod_coeffs(mul_coeffs(result, base, p), m, p)
+        e >>= 1
+        if e:
+            base = mod_coeffs(mul_coeffs(base, base, p), m, p)
+    return result
 
 
 class Poly:
@@ -63,11 +153,6 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def lead(self) -> int:
-        if not self.coeffs:
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -78,33 +163,18 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._same(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.field, [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
+        return Poly(self.field, add_coeffs(self.coeffs, other.coeffs, self.field.p))
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._same(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.field, [self.coeff(i) - other.coeff(i) for i in range(n)]
-        )
+        return Poly(self.field, add_coeffs(self.coeffs, other.coeffs, self.field.p, -1))
 
     def __neg__(self) -> "Poly":
         return Poly(self.field, [-c for c in self.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._same(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        p = self.field.p
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % p
-        return Poly(self.field, out)
+        return Poly(self.field, mul_coeffs(self.coeffs, other.coeffs, self.field.p))
 
     def scale(self, c) -> "Poly":
         c = int(c) % self.field.p
@@ -113,62 +183,20 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return Poly(self.field, pow_coeffs(self.coeffs, e, self.field.p))
 
     def __divmod__(self, other: "Poly"):
         self._same(other)
         if other.is_zero():
             raise ZeroInverseError("polynomial division by zero")
-        p = self.field.p
-        inv_lead = self.field.inv(other.lead())
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(self.field), self
-        quo = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = (rem[k + other.degree] * inv_lead) % p
-            if c:
-                quo[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = (rem[k + j] - c * b) % p
-        return Poly(self.field, quo), Poly(self.field, rem)
+        q, r = divmod_coeffs(self.coeffs, other.coeffs, self.field.p)
+        return Poly(self.field, q), Poly(self.field, r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            raise ZeroPolynomialError("cannot normalize the zero polynomial")
-        if self.coeffs[-1] == 1:
-            return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
-
-    def derivative(self) -> "Poly":
-        return Poly(
-            self.field, [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
-
-    def pth_root(self) -> "Poly":
-        """Inverse of f -> f**p; valid only when every exponent is a multiple of p."""
-        p = self.field.p
-        root = []
-        for i, c in enumerate(self.coeffs):
-            if i % p == 0:
-                root.append(c)  # c**(1/p) == c in GF(p)
-            elif c != 0:
-                raise ValueError("polynomial is not a p-th power")
-        return Poly(self.field, root)
 
     def evaluate(self, x0) -> int:
         p = self.field.p
@@ -222,22 +250,15 @@ class Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) is 0."""
     a.field.require_same(b.field)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a if a.is_zero() else a.monic()
+    return Poly(a.field, gcd_coeffs(a.coeffs, b.coeffs, a.field.p))
 
 
 def poly_powmod(base: Poly, e: int, mod: Poly) -> Poly:
     if e < 0:
         raise ValueError("negative exponent")
-    result = Poly.one(base.field) % mod
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+    if mod.is_zero():
+        raise ZeroInverseError("polynomial division by zero")
+    return Poly(base.field, powmod_coeffs(base.coeffs, e, mod.coeffs, base.field.p))
 
 
 # -- factorization -----------------------------------------------------------
@@ -252,68 +273,75 @@ class PrimePowerFactor:
         return self.base**self.exp
 
 
-def _equal_degree_split(g: Poly, d: int, rng: random.Random) -> Poly:
+def _equal_degree_split(g: list[int], d: int, p: int, rng: random.Random) -> list[int]:
     """A proper monic factor of g, where g is a product of >= 2 distinct
     irreducibles all of degree d (Cantor-Zassenhaus)."""
-    field = g.field
-    p = field.p
+    l = len(g) - 1
     while True:
-        r = Poly(field, [rng.randrange(p) for _ in range(g.degree)])
-        if r.degree < 1:
+        r = _trim([rng.randrange(p) for _ in range(l)])
+        if len(r) < 2:
             continue
-        t = poly_gcd(r, g)
-        if 0 < t.degree < g.degree:
+        t = gcd_coeffs(r, g, p)
+        if 1 < len(t) <= l:
             return t
         if p == 2:
             # trace map of r in GF(2^d)
-            s = Poly.zero(field)
-            acc = r % g
+            s, acc = [], mod_coeffs(r, g, p)
             for _ in range(d):
-                s = s + acc
-                acc = (acc * acc) % g
-            t = poly_gcd(s, g)
+                s = add_coeffs(s, acc, p)
+                acc = mod_coeffs(mul_coeffs(acc, acc, p), g, p)
         else:
-            s = poly_powmod(r, (p**d - 1) // 2, g) - Poly.one(field)
-            t = poly_gcd(s, g)
-        if 0 < t.degree < g.degree:
+            s = add_coeffs(powmod_coeffs(r, (p**d - 1) // 2, g, p), [1], p, -1)
+        t = gcd_coeffs(s, g, p)
+        if 1 < len(t) <= l:
             return t
 
 
-def _factor_squarefree(w: Poly, rng: random.Random) -> list[Poly]:
-    """Distinct monic irreducible factors of a squarefree monic w."""
-    field = w.field
-    p = field.p
-    out: list[Poly] = []
-    x = Poly.x(field)
-    h = x % w
+def _q_matrix(xp: list[int], w: list[int], p: int) -> list[list[int]]:
+    """Rows of Berlekamp's Q matrix: column i is x^(p*i) mod w, so h -> Q h
+    is h -> h^p mod w (c^p = c in GF(p)).  Costs deg w - 1 products mod w."""
+    l = len(w) - 1
+    cols = [[1]]
+    for _ in range(1, l):
+        cols.append(mod_coeffs(mul_coeffs(cols[-1], xp, p), w, p))
+    return [[c[i] if i < len(c) else 0 for c in cols] for i in range(l)]
+
+
+def _factor_squarefree(w: list[int], p: int, rng: random.Random) -> list[list[int]]:
+    """Distinct monic irreducible factors of a squarefree monic w.
+
+    Distinct-degree step: h = x^(p^d) mod w, so gcd(h - x, rem) is the
+    product of the degree-d factors left in rem.  h starts at x^p mod w
+    and then moves by the Q matrix, one O(l^2) product per degree.
+    """
+    out: list[list[int]] = []
+    q_rows = None
     d = 0
     rem = w
-    while rem.degree >= 1:
+    while len(rem) > 1:
         d += 1
-        if rem.degree < 2 * d:
+        if len(rem) - 1 < 2 * d:
             out.append(rem)
             break
-        h = poly_powmod(h, p, rem)
-        g = poly_gcd(h - x, rem)
-        if g.degree > 0:
-            # split the degree-d part into its g.degree // d irreducibles
+        if d == 1:
+            h = xp = powmod_coeffs([0, 1], p, w, p)
+        else:
+            q_rows = q_rows or _q_matrix(xp, w, p)
+            h = _trim([sum(map(mul, row, h)) % p for row in q_rows])
+        g = gcd_coeffs(add_coeffs(h, [0, 1], p, -1), rem, p)
+        if len(g) > 1:
+            # split the degree-d part into its (len(g) - 1) // d irreducibles
             stack = [g]
             while stack:
                 f = stack.pop()
-                if f.degree == d:
+                if len(f) - 1 == d:
                     out.append(f)
                 else:
-                    t = _equal_degree_split(f, d, rng)
+                    t = _equal_degree_split(f, d, p, rng)
                     stack.append(t)
-                    stack.append(f // t)
-            rem = rem // g
-            h = h % rem
+                    stack.append(divmod_coeffs(f, t, p)[0])
+            rem = divmod_coeffs(rem, g, p)[0]
     return out
-
-
-# seed for the default factoring rng; changing it changes only the internal
-# search order, never the (sorted) factorization
-DEFAULT_SEED = 0
 
 
 def factor_prime_powers(
@@ -322,43 +350,49 @@ def factor_prime_powers(
     """Factor a monic polynomial into prime powers pi**e with distinct pi.
 
     The result is sorted by (base.sort_key(), exp) and does not depend on
-    the rng, which only steers the internal splitting search.
+    the rng, which only steers the internal splitting search (default
+    random.Random(0)).  The work runs on coefficient lists; the product of
+    the factors is checked against f before returning.
     """
     if f.is_zero():
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     if not f.is_monic():
         raise NotMonicError("factorization requires a monic polynomial")
     if rng is None:
-        rng = random.Random(DEFAULT_SEED)
+        rng = random.Random(0)
+    p = f.field.p
 
-    def run(g: Poly, mult: int) -> list[PrimePowerFactor]:
-        if g.degree == 0:
+    def run(g: list[int], mult: int) -> list[tuple[list[int], int]]:
+        if len(g) == 1:
             return []
-        if g.derivative().is_zero():
-            # g = h(x)**p coefficient-wise over GF(p)
-            return run(g.pth_root(), mult * g.field.p)
-        w = g // poly_gcd(g, g.derivative())
-        found: list[PrimePowerFactor] = []
+        dg = _trim([i * c % p for i, c in enumerate(g)][1:])
+        if not dg:
+            # g = h(x)**p coefficient-wise over GF(p), and c**(1/p) == c
+            return run(g[::p], mult * p)
+        w = divmod_coeffs(g, gcd_coeffs(g, dg, p), p)[0]
+        found = []
         rest = g
-        for pi in _factor_squarefree(w, rng):
+        for pi in _factor_squarefree(w, p, rng):
             e = 0
             while True:
-                q, r = divmod(rest, pi)
-                if not r.is_zero():
+                q, r = divmod_coeffs(rest, pi, p)
+                if r:
                     break
                 rest = q
                 e += 1
-            found.append(PrimePowerFactor(pi, e * mult))
+            found.append((pi, e * mult))
         # what survives trial division has every multiplicity divisible by p
         found.extend(run(rest, mult))
         return found
 
-    factors = run(f, 1)
+    found = run(list(f.coeffs), 1)
+    prod = [1]
+    for pi, e in found:
+        prod = mul_coeffs(prod, pow_coeffs(pi, e, p), p)
+    if prod != list(f.coeffs):
+        raise AssertionError("factorization must reassemble")
+    factors = [PrimePowerFactor(Poly(f.field, pi), e) for pi, e in found]
     factors.sort(key=lambda pf: (pf.base.sort_key(), pf.exp))
-    prod = Poly.one(f.field)
-    for pf in factors:
-        prod = prod * pf.expand()
-    assert prod == f, "factorization must reassemble"
     return factors
 
 

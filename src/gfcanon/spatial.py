@@ -294,15 +294,21 @@ def theorem1_form(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness]:
     so when none works no invertible mix exists at all and FieldTooSmallError
     reports the blocking form.
     """
+    cs, w = _theorem1(a)
+    _verify(a, w, cs.tensor(), "theorem-1")
+    return cs, w
+
+
+def _theorem1(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness]:
+    """theorem1_form without the final witness check, for callers that
+    check the witness they return themselves."""
     if a.q != 2:
         raise WrongSliceCountError(f"needs exactly 2 slices, got {a.q}")
     fld = a.fld
     form0, pw0 = kronecker_form(a.slices[0], a.slices[1])
     w0 = TransformWitness(pw0.r, pw0.s, Matrix.identity(fld, 2))
     if not form0.inf:
-        cs = CanonicalSum(fld, form0.right, form0.left, form0.finite)
-        _verify(a, w0, cs.tensor(), "theorem-1")
-        return cs, w0
+        return CanonicalSum(fld, form0.right, form0.left, form0.finite), w0
 
     if all(f.coeff(0) != 0 for f in form0.finite):
         # no divisor vanishes at 0, so swapping the slices keeps everything finite
@@ -333,7 +339,6 @@ def theorem1_form(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness]:
             Matrix.identity(fld, a.m), Matrix.identity(fld, a.n), _t_matrix(mix)
         )
     ).compose(TransformWitness(pw1.r, pw1.s, Matrix.identity(fld, 2)))
-    _verify(a, w, cs.tensor(), "theorem-1")
     return cs, w
 
 
@@ -499,10 +504,11 @@ def canonical_label(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness]:
     Two m x n x 2 tensors are equivalent exactly when their labels are
     equal, and apply_transform(a, witness) reproduces label.tensor().
     """
-    cs0, w0 = theorem1_form(a)
+    cs0, w0 = _theorem1(a)
     csm, t = mobius_orbit_minimize(cs0)
     if t.as_ints() == (1, 0, 0, 1):
         assert csm == cs0
+        _verify(a, w0, cs0.tensor(), "theorem-1")
         return cs0, w0
     w_mix = TransformWitness(
         Matrix.identity(a.fld, cs0.dims[0]),
@@ -735,7 +741,7 @@ def classify_regular(a: SpatialMatrix) -> tuple[RegularClass22, TransformWitness
             Matrix.identity(fld, 1),
             Matrix.identity(fld, 1),
         )
-        assert apply_transform(a, w) == cls.representative()
+        _verify(a, w, cls.representative(), "classification")
         return cls, w
     if q == 1:
         # regularity forces m == n == 2 with an invertible slice
@@ -744,7 +750,7 @@ def classify_regular(a: SpatialMatrix) -> tuple[RegularClass22, TransformWitness
         w = TransformWitness(
             Matrix.identity(fld, 2), inverse(a.slices[0]), Matrix.identity(fld, 1)
         )
-        assert apply_transform(a, w) == cls.representative()
+        _verify(a, w, cls.representative(), "classification")
         return cls, w
 
     label, w_a = canonical_label(a)

@@ -187,3 +187,10 @@ def test_field_too_small_exit_2_with_blocks(capsys):
     assert doc["error"] == "FieldTooSmallError"
     assert doc["blocks"]["inf"] == [1]
     assert doc["blocks"]["finite"] == [[0, 1], [1, 1]]
+
+
+def test_seed_flag_is_gone(capsys):
+    # factoring always uses its own fixed seed, so no flag reaches it
+    code, out, err = run(capsys, "canonicalize", A_GF5, "--seed", "3")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "UsageError"

@@ -211,6 +211,78 @@ def test_cayley_hamilton():
         assert poly_at_matrix(char_poly(a), a).is_zero()
 
 
+def _horner_at_matrix(f, mat):
+    """Matrix polynomial by plain Horner: deg f + 1 products."""
+    acc = Matrix.zero(mat.field, mat.n, mat.n)
+    ident = Matrix.identity(mat.field, mat.n)
+    for c in reversed(f.coeffs):
+        acc = acc @ mat
+        if c:
+            acc = acc + ident.scale(c)
+    return acc
+
+
+def test_poly_at_matrix_matches_horner():
+    # every degree 0..20 (the zero polynomial too) across sizes 0..7, so
+    # one, two and several baby/giant chunks all occur
+    rng = random.Random(58)
+    fields = FIELDS + (PrimeField(101),)
+    for deg in range(-1, 21):
+        for _ in range(6):
+            fld = fields[rng.randrange(4)]
+            n = rng.randrange(8)
+            a = rand_matrix(rng, fld, n, n)
+            f = Poly(fld, [rng.randrange(fld.p) for _ in range(deg)] + [1] * (deg >= 0))
+            assert f.degree == deg
+            assert poly_at_matrix(f, a) == _horner_at_matrix(f, a)
+
+
+def _char_poly_by_polys(mat):
+    """The Hessenberg recurrence as it was written with Poly objects."""
+    field, p, n = mat.field, mat.field.p, mat.n
+    h = [list(r) for r in mat.rows]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[j + 1], h[piv] = h[piv], h[j + 1]
+            for row in h:
+                row[j + 1], row[piv] = row[piv], row[j + 1]
+        inv = field.inv(h[j + 1][j])
+        for i in range(j + 2, n):
+            if h[i][j]:
+                f = (h[i][j] * inv) % p
+                h[i] = [(x - f * y) % p for x, y in zip(h[i], h[j + 1])]
+                for row in h:
+                    row[j + 1] = (row[j + 1] + f * row[i]) % p
+    polys = [Poly.one(field)]
+    for i in range(1, n + 1):
+        cur = Poly(field, (-h[i - 1][i - 1], 1)) * polys[i - 1]
+        prod = 1
+        for k in range(i - 1, 0, -1):
+            prod = (prod * h[k][k - 1]) % p
+            coef = (h[k - 1][i - 1] * prod) % p
+            if coef:
+                cur = cur - polys[k - 1].scale(coef)
+        polys.append(cur)
+    return polys[n]
+
+
+def test_char_poly_matches_poly_recurrence():
+    # dense and sparse matrices up to 12 x 12; zero subdiagonal entries
+    # end the inner sum early
+    rng = random.Random(59)
+    fields = FIELDS + (PrimeField(7), PrimeField(101))
+    for case in range(240):
+        fld = fields[case % 5]
+        n = rng.randrange(13)
+        density = (1.0, 0.3, 0.1)[case % 3]
+        a = Matrix(fld, [[rng.randrange(fld.p) if rng.random() < density else 0
+                          for _ in range(n)] for _ in range(n)], n)
+        assert char_poly(a) == _char_poly_by_polys(a)
+
+
 def test_span_tracker_matches_rank():
     rng = random.Random(70)
     for _ in range(100):

@@ -14,11 +14,13 @@ from gfcanon import (
     companion,
     factor_prime_powers,
     frobenius_form,
+    inverse,
     kernel_basis,
     kronecker_form,
     pencil,
 )
 from gfcanon.errors import DimensionMismatchError
+from gfcanon.linalg import SpanTracker
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -82,6 +84,103 @@ def test_frobenius_similarity_invariant():
         divisors, _ = frobenius_form(m)
         divisors2, _ = frobenius_form(inverse(s) @ m @ s)
         assert divisors == divisors2
+
+
+def _old_frobenius(mat):
+    """frobenius_form as it was written with Matrix, Poly and Horner: each
+    pi(M) by deg pi + 1 products, the filtration from ker I, and every
+    Krylov vector a one-column Matrix."""
+    fld, n = mat.field, mat.n
+    if n == 0:
+        return [], Matrix.identity(fld, 0)
+    heads = []
+    for pf in factor_prime_powers(char_poly(mat)):
+        pi, mult = pf.base, pf.exp
+        d = pi.degree
+        b = Matrix.zero(fld, n, n)
+        for c in reversed(pi.coeffs):
+            b = b @ mat
+            if c:
+                b = b + Matrix.identity(fld, n).scale(c)
+        powers = [Matrix.identity(fld, n)]
+        kernels = [kernel_basis(powers[0])]
+        while kernels[-1].n < mult * d:
+            powers.append(powers[-1] @ b)
+            kernels.append(kernel_basis(powers[-1]))
+        active = []
+        for j in range(len(kernels) - 1, 0, -1):
+            tracker = SpanTracker(fld, n)
+            for c in range(kernels[j - 1].n):
+                tracker.add(kernels[j - 1].col(c))
+            for _, w in active:
+                v = list(w)
+                for _ in range(d):
+                    tracker.add(v)
+                    v = list((mat @ Matrix.from_cols(fld, [v], n)).col(0))
+            for c in range(kernels[j].n):
+                cand = list(kernels[j].col(c))
+                if tracker.contains(cand):
+                    continue
+                v = list(cand)
+                for _ in range(d):
+                    tracker.add(v)
+                    v = list((mat @ Matrix.from_cols(fld, [v], n)).col(0))
+                active.append((j, cand))
+                krylov = []
+                u = Matrix.from_cols(fld, [cand], n)
+                for _ in range(j * d):
+                    krylov.append(u)
+                    u = mat @ u
+                heads.append((pi**j, krylov))
+            active = [(lv, list((b @ Matrix.from_cols(fld, [w], n)).col(0))) for lv, w in active]
+    heads.sort(key=lambda h: h[0].sort_key())
+    return [h[0] for h in heads], Matrix.from_cols(fld, [k.col(0) for h in heads for k in h[1]], n)
+
+
+def _similarity_corpus(rng):
+    """(kind, matrix) pairs, n <= 12, p in {2, 3, 5, 7, 101}: random,
+    conjugated block sums with repeated blocks (non-cyclic), conjugated
+    nilpotent, and sparse."""
+    fields = [PrimeField(p) for p in (2, 3, 5, 7, 101)]
+    for case in range(440):
+        fld = fields[case % 5]
+        kind = ("random", "blocks", "nilpotent", "sparse")[case // 5 % 4]
+        n = rng.randrange(1, 13)
+        if kind == "random":
+            m = rand_matrix(rng, fld, n, n)
+        elif kind == "sparse":
+            m = Matrix(fld, [[rng.randrange(fld.p) if rng.random() < 0.15 else 0
+                              for _ in range(n)] for _ in range(n)], n)
+        else:
+            # a few bases, each used for several blocks of various powers
+            bases = [Poly(fld, (0, 1))] if kind == "nilpotent" else [
+                pf.base for pf in factor_prime_powers(rand_monic(rng, fld, rng.randrange(1, 4)))]
+            blocks, size = [], 0
+            while size < n:
+                q = rng.choice(bases) ** rng.randrange(1, 4)
+                if size + q.degree > n:
+                    q = Poly(fld, (0 if kind == "nilpotent" else rng.randrange(fld.p), 1))
+                blocks.append(companion(q))
+                size += q.degree
+            s = rand_invertible(rng, fld, n)
+            m = s @ Matrix.block_diag(fld, blocks) @ inverse(s)
+        yield kind, m
+
+
+def test_frobenius_matches_matrix_object_version():
+    rng = random.Random(404)
+    kinds = {}
+    for kind, m in _similarity_corpus(rng):
+        divisors, basis = frobenius_form(m)
+        old_divisors, old_basis = _old_frobenius(m)
+        assert _coeff_lists(divisors) == _coeff_lists(old_divisors), (kind, m)
+        assert basis == old_basis, (kind, m)
+        kinds[kind] = kinds.get(kind, 0) + 1
+        # non-cyclic: some prime carries two or more divisors
+        primes = {factor_prime_powers(q)[0].base for q in divisors}
+        kinds["non-cyclic"] = kinds.get("non-cyclic", 0) + (len(primes) < len(divisors))
+    assert sum(kinds[k] for k in ("random", "blocks", "nilpotent", "sparse")) >= 400
+    assert kinds["non-cyclic"] >= 100, kinds
 
 
 # -- pencil canonical form --------------------------------------------------------

@@ -168,6 +168,132 @@ def test_factor_is_rng_independent():
         assert a == b
 
 
+# -- the Poly-object factoring, kept as a referee for the list core -------------
+
+
+def _old_powmod(base, e, mod):
+    result = Poly.one(base.field) % mod
+    base = base % mod
+    while e:
+        if e & 1:
+            result = (result * base) % mod
+        base = (base * base) % mod
+        e >>= 1
+    return result
+
+
+def _old_split(g, d, rng):
+    field, p = g.field, g.field.p
+    while True:
+        r = Poly(field, [rng.randrange(p) for _ in range(g.degree)])
+        if r.degree < 1:
+            continue
+        t = poly_gcd(r, g)
+        if 0 < t.degree < g.degree:
+            return t
+        if p == 2:
+            s, acc = Poly.zero(field), r % g
+            for _ in range(d):
+                s = s + acc
+                acc = (acc * acc) % g
+        else:
+            s = _old_powmod(r, (p**d - 1) // 2, g) - Poly.one(field)
+        t = poly_gcd(s, g)
+        if 0 < t.degree < g.degree:
+            return t
+
+
+def _old_squarefree(w, rng):
+    """Distinct-degree factoring with a fresh modular power per degree."""
+    x = Poly.x(w.field)
+    out, h, d, rem = [], x % w, 0, w
+    while rem.degree >= 1:
+        d += 1
+        if rem.degree < 2 * d:
+            out.append(rem)
+            break
+        h = _old_powmod(h, w.field.p, rem)
+        g = poly_gcd(h - x, rem)
+        if g.degree > 0:
+            stack = [g]
+            while stack:
+                f = stack.pop()
+                if f.degree == d:
+                    out.append(f)
+                else:
+                    t = _old_split(f, d, rng)
+                    stack += [t, f // t]
+            rem = rem // g
+            h = h % rem
+    return out
+
+
+def _old_factor(f):
+    p = f.field.p
+    rng = random.Random(0)
+
+    def derivative(g):
+        return Poly(g.field, [i * c for i, c in enumerate(g.coeffs)][1:])
+
+    def run(g, mult):
+        if g.degree == 0:
+            return []
+        if derivative(g).is_zero():
+            return run(Poly(g.field, g.coeffs[::p]), mult * p)
+        w = g // poly_gcd(g, derivative(g))
+        found, rest = [], g
+        for pi in _old_squarefree(w, rng):
+            e = 0
+            while True:
+                q, r = divmod(rest, pi)
+                if not r.is_zero():
+                    break
+                rest, e = q, e + 1
+            found.append((pi.coeffs, e * mult))
+        return found + run(rest, mult)
+
+    return sorted(run(f, 1), key=lambda t: (Poly(f.field, t[0]).sort_key(), t[1]))
+
+
+def _irreducibles(rng, fld, d, count):
+    """count distinct monic irreducibles of degree d (found by the referee)."""
+    out = set()
+    while len(out) < count:
+        f = rand_monic(rng, fld, d)
+        if _old_factor(f) == [(f.coeffs, 1)]:
+            out.add(f)
+    return sorted(out, key=Poly.sort_key)
+
+
+def test_factor_matches_poly_object_factoring():
+    rng = random.Random(303)
+    F101 = PrimeField(101)
+    cases = []
+    for fld in (F2, F3):  # p-th powers, also of p-th powers
+        for _ in range(40):
+            g = rand_monic(rng, fld, rng.randrange(1, 5))
+            cases.append(g ** fld.p * rand_monic(rng, fld, rng.randrange(0, 3)) ** (fld.p * rng.randrange(1, 3)))
+    for fld in (F2, F3, F5, PrimeField(7), F101):  # repeated factors
+        for _ in range(16):
+            a, b = rand_monic(rng, fld, rng.randrange(1, 4)), rand_monic(rng, fld, rng.randrange(1, 4))
+            cases.append(a ** rng.randrange(2, 4) * b ** rng.randrange(1, 3))
+    # products of 2 or 3 distinct irreducibles of one degree: the splitting path
+    for fld, d in ((F2, 4), (F2, 5), (F3, 2), (F3, 3), (F5, 2), (F5, 3),
+                   (PrimeField(7), 2), (F101, 2), (F101, 3)):
+        irr = _irreducibles(rng, fld, d, 3)
+        for _ in range(10):
+            prod = Poly.one(fld)
+            for q in rng.sample(irr, rng.randrange(2, 4)):
+                prod = prod * q
+            cases.append(prod)
+    for _ in range(50):  # degree 16 at p = 101
+        cases.append(rand_monic(rng, F101, 16))
+    assert len(cases) >= 300
+    for f in cases:
+        got = [(pf.base.coeffs, pf.exp) for pf in factor_prime_powers(f)]
+        assert got == _old_factor(f), f
+
+
 def test_factor_rejects_bad_inputs():
     with pytest.raises(ZeroPolynomialError):
         factor_prime_powers(Poly.zero(F3))

@@ -23,6 +23,7 @@ from gfcanon import (
     mobius_transform,
     pgl2_reps,
     regular_part,
+    spatial,
     theorem1_form,
     theorem2_catalog,
     two_step_realize,
@@ -347,6 +348,43 @@ def test_regular_part_witness_checked_under_python_O(tmp_path):
             print(__debug__, exc)
     """)
     assert out == "False regular_part witness failed to verify"
+
+
+def test_canonical_label_checks_its_witness_once(monkeypatch):
+    # one apply_transform per label, on both the identity-mix return and
+    # the composed-witness return
+    calls = []
+    apply = spatial.apply_transform
+    monkeypatch.setattr(spatial, "apply_transform", lambda a, w: calls.append(1) or apply(a, w))
+    rng = random.Random(15)
+    mixed = 0
+    for _ in range(40):
+        fld = (F3, F5)[rng.randrange(2)]
+        a = rand_tensor(rng, fld, 3, 3, 2)
+        try:
+            label, w = canonical_label(a)
+        except FieldTooSmallError:
+            continue
+        assert len(calls) == 1
+        mixed += spatial._theorem1(a)[0] != label
+        calls.clear()
+    assert mixed >= 5
+
+
+def test_classification_witness_checked_under_python_O(tmp_path):
+    # the q = 1 path builds its witness from inverse(slice) alone
+    out = run_python_O(tmp_path, """
+        from gfcanon import PrimeField, SpatialMatrix, WitnessError, spatial
+
+        inverse = spatial.inverse
+        spatial.inverse = lambda m: inverse(m).scale(2)
+        a = SpatialMatrix(PrimeField(5), [[[1, 2], [3, 4]]], 2, 2)
+        try:
+            spatial.classify_regular(a)
+        except WitnessError as exc:
+            print(__debug__, exc)
+    """)
+    assert out == "False classification witness failed to verify"
 
 
 def test_canonical_label_invariant_and_witnessed():
