@@ -20,7 +20,7 @@ from .errors import (
     ZeroInverseError,
     ZeroPolynomialError,
 )
-from .field import FieldElem, PrimeField, field_inverse, is_prime
+from .field import FieldElem, PrimeField, is_prime
 from .linalg import (
     Matrix,
     char_poly,

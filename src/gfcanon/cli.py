@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 parse/usage problem, 2 precondition violation
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -49,7 +50,7 @@ def _load_doc(source: str) -> dict:
     try:
         if source == "-":
             return json.load(sys.stdin)
-        if source.lstrip().startswith("{"):
+        if source.lstrip().startswith(("{", "[")):
             return json.loads(source)
         with open(source, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -157,7 +158,10 @@ def _cmd_list_canonical(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process, on the first main() call, so importing stays
+    # cheap; parse_args keeps no state between calls
     parser = _Parser(prog="gfcanon", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 

@@ -199,8 +199,3 @@ class FieldElem:
 
     def __repr__(self):
         return f"GF({self.field.p})({self.value})"
-
-
-def field_inverse(a: FieldElem) -> FieldElem:
-    """Multiplicative inverse; raises ZeroInverseError on 0."""
-    return a.inverse()

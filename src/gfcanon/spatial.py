@@ -15,7 +15,7 @@ a CanonicalSum label: equal labels if and only if equivalent tensors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 
 from .errors import (
     DimensionMismatchError,
@@ -80,7 +80,9 @@ class SpatialMatrix:
     def from_dict(d: dict) -> "SpatialMatrix":
         try:
             fld = PrimeField(d["p"])
-            m, n, q = (int(x) for x in d["dims"])
+            m, n, q = _ints(d["dims"], "dims")
+            if min(m, n, q) < 0:
+                raise ParseError(f"dims must be non-negative, got {[m, n, q]}")
             raw = d["slices"]
             if len(raw) != q:
                 raise ParseError(f"expected {q} slices, got {len(raw)}")
@@ -88,6 +90,7 @@ class SpatialMatrix:
             for s in raw:
                 if len(s) != m or any(len(row) != n for row in s):
                     raise ParseError("slice shape disagrees with dims")
+                _ints(chain.from_iterable(s), "entries")
                 slices.append(Matrix(fld, s, n))
             return SpatialMatrix(fld, slices, m, n)
         except (KeyError, TypeError, ValueError) as exc:
@@ -107,6 +110,16 @@ class SpatialMatrix:
 
     def __repr__(self):
         return f"SpatialMatrix(GF({self.fld.p}), {self.m}x{self.n}x{self.q})"
+
+
+def _ints(values, what: str) -> list[int]:
+    """The values of a parsed document as a list, each a plain int: a float,
+    a bool or a numeric string is refused, never reduced mod p."""
+    out = list(values)
+    for x in out:
+        if type(x) is not int:
+            raise ParseError(f"{what} must be integers, got {x!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -151,9 +164,10 @@ class TransformWitness:
     def from_dict(d: dict) -> "TransformWitness":
         try:
             fld = PrimeField(d["p"])
-            return TransformWitness(
-                Matrix(fld, d["R"]), Matrix(fld, d["S"]), Matrix(fld, d["T"])
-            )
+            factors = [d[key] for key in "RST"]
+            for rows in factors:
+                _ints(chain.from_iterable(rows), "witness entries")
+            return TransformWitness(*(Matrix(fld, rows) for rows in factors))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed witness: {exc}") from exc
 
@@ -167,6 +181,7 @@ def apply_transform(a: SpatialMatrix, w: TransformWitness) -> SpatialMatrix:
         )
     p = a.fld.p
     m, n, q = a.dims
+    r, s, t = w.r.rows, w.s.rows, w.t.rows
     out = []
     for k2 in range(q):
         rows = []
@@ -175,18 +190,20 @@ def apply_transform(a: SpatialMatrix, w: TransformWitness) -> SpatialMatrix:
             for j2 in range(n):
                 acc = 0
                 for k in range(q):
-                    tkk = w.t.at(k, k2)
+                    tkk = t[k][k2]
                     if not tkk:
                         continue
+                    ak = a.slices[k].rows
                     for i in range(m):
-                        rii = w.r.at(i, i2)
+                        rii = r[i][i2]
                         if not rii:
                             continue
+                        aki = ak[i]
                         for j in range(n):
-                            acc += a.slices[k].at(i, j) * rii * w.s.at(j, j2) * tkk
+                            acc += aki[j] * rii * s[j][j2] * tkk
                 row.append(acc % p)
-            rows.append(row)
-        out.append(Matrix(a.fld, rows, n))
+            rows.append(tuple(row))
+        out.append(Matrix._trusted(a.fld, tuple(rows), n))
     return SpatialMatrix(a.fld, out, m, n)
 
 
@@ -271,9 +288,9 @@ class CanonicalSum:
             fld = PrimeField(d["p"])
             return CanonicalSum(
                 fld,
-                tuple(int(x) for x in d.get("right", ())),
-                tuple(int(x) for x in d.get("left", ())),
-                tuple(Poly(fld, cs) for cs in d.get("finite", ())),
+                tuple(_ints(d.get("right", ()), "indices")),
+                tuple(_ints(d.get("left", ()), "indices")),
+                tuple(Poly(fld, _ints(cs, "coefficients")) for cs in d.get("finite", ())),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed canonical sum: {exc}") from exc
@@ -306,8 +323,8 @@ def _theorem1(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness]:
         raise WrongSliceCountError(f"needs exactly 2 slices, got {a.q}")
     fld = a.fld
     form0, pw0 = kronecker_form(a.slices[0], a.slices[1])
-    w0 = TransformWitness(pw0.r, pw0.s, Matrix.identity(fld, 2))
     if not form0.inf:
+        w0 = TransformWitness(pw0.r, pw0.s, Matrix.identity(fld, 2))
         return CanonicalSum(fld, form0.right, form0.left, form0.finite), w0
 
     if all(f.coeff(0) != 0 for f in form0.finite):
@@ -334,12 +351,8 @@ def _theorem1(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness]:
     assert not form1.inf, "chosen mix must clear every degenerate block"
     assert form1.right == form0.right and form1.left == form0.left
     cs = CanonicalSum(fld, form1.right, form1.left, form1.finite)
-    w = w0.compose(
-        TransformWitness(
-            Matrix.identity(fld, a.m), Matrix.identity(fld, a.n), _t_matrix(mix)
-        )
-    ).compose(TransformWitness(pw1.r, pw1.s, Matrix.identity(fld, 2)))
-    return cs, w
+    # reduce, mix the slices, reduce again: one witness from the products
+    return cs, TransformWitness(pw0.r @ pw1.r, pw0.s @ pw1.s, _t_matrix(mix))
 
 
 _PGL2_CACHE: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
@@ -417,10 +430,11 @@ def mobius_orbit_minimize(cs: CanonicalSum) -> tuple[CanonicalSum, Mobius2x2]:
     return CanonicalSum(fld, cs.right, cs.left, tuple(mobius_transform(f, t) for f in cs.finite)), t
 
 
-def _mix_restore_witness(
+def _mix_restore(
     cs: CanonicalSum, t: Mobius2x2, target: CanonicalSum
-) -> TransformWitness:
-    """Witness taking cs.tensor() through the mix t onto target.tensor().
+) -> tuple[Matrix, Matrix]:
+    """R and S of the witness taking cs.tensor() through the mix t onto
+    target.tensor() (its T is the identity).
 
     The mix respects the block split, so each block is restored to its own
     canonical shape independently, then the finite blocks are permuted into
@@ -459,7 +473,6 @@ def _mix_restore_witness(
             new_finite.append(eta)
     r_fix = Matrix.block_diag(fld, r_blocks)
     s_fix = Matrix.block_diag(fld, s_blocks)
-    w_fix = TransformWitness(r_fix, s_fix, Matrix.identity(fld, 2))
 
     # permute the finite blocks into canonical order
     order = sorted(range(len(new_finite)), key=lambda i: new_finite[i].sort_key())
@@ -490,12 +503,10 @@ def _mix_restore_witness(
             perm_c[old_col[old_idx] + tshift][new_c + tshift] = 1
         new_r += d
         new_c += d
-    w_perm = TransformWitness(
-        Matrix(fld, perm_r, m_tot).transpose(),
-        Matrix(fld, perm_c, n_tot),
-        Matrix.identity(fld, 2),
+    return (
+        r_fix @ Matrix(fld, perm_r, m_tot).transpose(),
+        s_fix @ Matrix(fld, perm_c, n_tot),
     )
-    return w_fix.compose(w_perm)
 
 
 def canonical_label(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness]:
@@ -504,47 +515,48 @@ def canonical_label(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness]:
     Two m x n x 2 tensors are equivalent exactly when their labels are
     equal, and apply_transform(a, witness) reproduces label.tensor().
     """
+    cs, w, stage = _canonical_label(a)
+    _verify(a, w, cs.tensor(), stage)
+    return cs, w
+
+
+def _canonical_label(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness, str]:
+    """canonical_label without the witness check: the label, its witness
+    and the name of the stage that built the witness."""
     cs0, w0 = _theorem1(a)
     csm, t = mobius_orbit_minimize(cs0)
     if t.as_ints() == (1, 0, 0, 1):
         assert csm == cs0
-        _verify(a, w0, cs0.tensor(), "theorem-1")
-        return cs0, w0
-    w_mix = TransformWitness(
-        Matrix.identity(a.fld, cs0.dims[0]),
-        Matrix.identity(a.fld, cs0.dims[1]),
-        _t_matrix(t),
-    )
-    w_fix = _mix_restore_witness(cs0, t, csm)
-    w = w0.compose(w_mix).compose(w_fix)
-    _verify(a, w, csm.tensor(), "canonicalization")
-    return csm, w
+        return cs0, w0, "theorem-1"
+    # w0, then the slice mix t, then the block fix-up
+    fix_r, fix_s = _mix_restore(cs0, t, csm)
+    w = TransformWitness(w0.r @ fix_r, w0.s @ fix_s, w0.t @ _t_matrix(t))
+    return csm, w, "canonicalization"
 
 
 # -- regular part ----------------------------------------------------------------
 
 
+def _unfold(a: SpatialMatrix, axis: int) -> Matrix:
+    """Stack unfolding on int rows: one row per row (axis 0), column (1) or
+    slice (2) of a, its entries running over the other two indices in order,
+    the slice index last."""
+    m, n, q = a.dims
+    if axis == 2:
+        rows = tuple(tuple(chain.from_iterable(s.rows)) for s in a.slices)
+        return Matrix._trusted(a.fld, rows, m * n)
+    sl = [s.rows if axis == 0 else s.transpose().rows for s in a.slices]
+    count, width = (m, n) if axis == 0 else (n, m)
+    rows = tuple(
+        tuple(chain.from_iterable(zip(*(s[i] for s in sl)))) for i in range(count)
+    )
+    return Matrix._trusted(a.fld, rows, width * q)
+
+
 def _family_ranks(a: SpatialMatrix) -> tuple[int, int, int]:
     """(row-stack, column-stack, slice-stack) ranks: the three numbers that
     must equal (m, n, q) for a regular tensor."""
-    fld = a.fld
-    m, n, q = a.dims
-    row_stack = Matrix(
-        fld,
-        [[a.at(i, j, k) for j in range(n) for k in range(q)] for i in range(m)],
-        n * q,
-    )
-    col_stack = Matrix(
-        fld,
-        [[a.at(i, j, k) for i in range(m) for k in range(q)] for j in range(n)],
-        m * q,
-    )
-    slice_stack = Matrix(
-        fld,
-        [[a.at(i, j, k) for i in range(m) for j in range(n)] for k in range(q)],
-        m * n,
-    )
-    return (rank(row_stack), rank(col_stack), rank(slice_stack))
+    return tuple(rank(_unfold(a, axis)) for axis in range(3))
 
 
 def is_regular(a: SpatialMatrix) -> bool:
@@ -558,64 +570,44 @@ def regular_part(a: SpatialMatrix) -> tuple[SpatialMatrix, TransformWitness]:
     move all content into a leading m' x n' x q' corner that is regular;
     the returned witness maps the input onto the zero-padded corner.
     """
-    fld = a.fld
+    corner, w, padded = _regular_part(a)
+    _verify(a, w, padded, "regular_part")
     m, n, q = a.dims
-
-    slice_stack = Matrix(
-        fld,
-        [[a.at(i, j, k) for i in range(m) for j in range(n)] for k in range(q)],
-        m * n,
-    )
-    _, e_t, q2 = rref(slice_stack)
-    cur = [
-        sum(
-            (a.slices[k].scale(e_t.at(k2, k)) for k in range(q)),
-            Matrix.zero(fld, m, n),
-        )
-        for k2 in range(q)
-    ]
-
-    col_stack = Matrix(
-        fld,
-        [[cur[k].at(i, j) for i in range(m) for k in range(q)] for j in range(n)],
-        m * q,
-    )
-    _, e_s, n2 = rref(col_stack)
-    s_mat = e_s.transpose()
-    cur = [c @ s_mat for c in cur]
-
-    row_stack = Matrix(
-        fld,
-        [[cur[k].at(i, j) for j in range(n) for k in range(q)] for i in range(m)],
-        n * q,
-    )
-    _, e_r, m2 = rref(row_stack)
-    cur = [e_r @ c for c in cur]
-
-    corner = SpatialMatrix(
-        fld, [cur[k].submatrix(0, m2, 0, n2) for k in range(q2)], m2, n2
-    )
-    w = TransformWitness(e_r.transpose(), s_mat, e_t.transpose())
-    _verify(a, w, SpatialMatrix(fld, cur, m, n), "regular_part")
+    m2, n2, q2 = corner.dims
     for k in range(q2, q):
-        assert cur[k].is_zero()
+        assert padded.slices[k].is_zero()
     for k in range(q2):
-        assert cur[k].submatrix(m2, m, 0, n).is_zero()
-        assert cur[k].submatrix(0, m2, n2, n).is_zero()
+        assert padded.slices[k].submatrix(m2, m, 0, n).is_zero()
+        assert padded.slices[k].submatrix(0, m2, n2, n).is_zero()
     assert is_regular(corner), "reduced corner must be regular"
     return corner, w
 
 
-def _embed_witness(
-    w: TransformWitness, m: int, n: int, q: int
-) -> TransformWitness:
-    """Extend a corner witness by the identity on the padding."""
-    fld = w.r.field
-    return TransformWitness(
-        Matrix.block_diag(fld, [w.r, Matrix.identity(fld, m - w.r.m)]),
-        Matrix.block_diag(fld, [w.s, Matrix.identity(fld, n - w.s.m)]),
-        Matrix.block_diag(fld, [w.t, Matrix.identity(fld, q - w.t.m)]),
+def _regular_part(
+    a: SpatialMatrix,
+) -> tuple[SpatialMatrix, TransformWitness, SpatialMatrix]:
+    """regular_part without the witness check: the corner, the witness and
+    the zero-padded corner that the witness reaches."""
+    fld = a.fld
+    m, n, q = a.dims
+    mixed, e_t, q2 = rref(_unfold(a, 2))
+    # rref's reduced matrix is E_T times the unfolding: its rows are the mixed slices
+    slices = [tuple(r[i * n : (i + 1) * n] for i in range(m)) for r in mixed.rows]
+    cur = SpatialMatrix(fld, [Matrix._trusted(fld, rows, n) for rows in slices], m, n)
+    _, e_s, n2 = rref(_unfold(cur, 1))
+    s_mat = e_s.transpose()
+    cur = SpatialMatrix(fld, [c @ s_mat for c in cur.slices], m, n)
+    _, e_r, m2 = rref(_unfold(cur, 0))
+    padded = SpatialMatrix(fld, [e_r @ c for c in cur.slices], m, n)
+    corner = SpatialMatrix(
+        fld, [c.submatrix(0, m2, 0, n2) for c in padded.slices[:q2]], m2, n2
     )
+    return corner, TransformWitness(e_r.transpose(), s_mat, e_t.transpose()), padded
+
+
+def _pad(mat: Matrix, d: int) -> Matrix:
+    """A corner factor extended by the identity on the padding, to d x d."""
+    return Matrix.block_diag(mat.field, [mat, Matrix.identity(mat.field, d - mat.m)])
 
 
 # -- classification of small regular tensors ------------------------------------
@@ -753,14 +745,17 @@ def classify_regular(a: SpatialMatrix) -> tuple[RegularClass22, TransformWitness
         _verify(a, w, cls.representative(), "classification")
         return cls, w
 
-    label, w_a = canonical_label(a)
+    label, w_a, _ = _canonical_label(a)
     for cls in theorem2_catalog(fld):
         rep = cls.representative()
         if rep.dims != a.dims:
             continue
-        rep_label, w_rep = canonical_label(rep)
+        rep_label, w_rep, _ = _canonical_label(rep)
         if rep_label == label:
-            w = w_a.compose(w_rep.inverse())
+            # a -> label tensor <- rep, checked once as one witness
+            w = TransformWitness(
+                w_a.r @ inverse(w_rep.r), w_a.s @ inverse(w_rep.s), w_a.t @ inverse(w_rep.t)
+            )
             _verify(a, w, rep, "classification")
             return cls, w
     raise AssertionError("catalog must cover every regular tensor of these shapes")
@@ -777,14 +772,20 @@ def equivalent(
     Reduces both to regular corners; unequal corner shapes end it.  A
     two-slice corner is compared by canonical label; smaller slice counts
     reduce to the identity corner directly.  On success the returned witness
-    w satisfies apply_transform(a, w) == b, verified before returning.
+    w satisfies apply_transform(a, w) == b, verified before returning; its
+    parts are not checked on their own.  A "not equivalent" answer checks
+    the two regular-part witnesses, and the two label witnesses when the
+    labels decide it.
     """
     a.fld.require_same(b.fld)
     if a.dims != b.dims:
         raise DimensionMismatchError(f"tensors sized {a.dims} vs {b.dims}")
-    ca, wa = regular_part(a)
-    cb, wb = regular_part(b)
+    fld = a.fld
+    ca, wa, pa = _regular_part(a)
+    cb, wb, pb = _regular_part(b)
     if ca.dims != cb.dims:
+        _verify(a, wa, pa, "regular_part")
+        _verify(b, wb, pb, "regular_part")
         return False, None
     q2 = ca.dims[2]
     if q2 > 2:
@@ -792,27 +793,35 @@ def equivalent(
             f"equivalence beyond two regular slices is unsupported (q' = {q2})"
         )
 
+    # (R, S, T) factors carrying each corner onto a common normal form
     if q2 == 0:
-        wit_a, wit_b = wa, wb
+        ka = kb = (Matrix.identity(fld, 0),) * 3
     elif q2 == 1:
         # regular single-slice corner: square with invertible slice
-        norm_a = TransformWitness(
-            Matrix.identity(a.fld, ca.m), inverse(ca.slices[0]), Matrix.identity(a.fld, 1)
+        ka, kb = (
+            (Matrix.identity(fld, c.m), inverse(c.slices[0]), Matrix.identity(fld, 1))
+            for c in (ca, cb)
         )
-        norm_b = TransformWitness(
-            Matrix.identity(a.fld, cb.m), inverse(cb.slices[0]), Matrix.identity(a.fld, 1)
-        )
-        wit_a = wa.compose(_embed_witness(norm_a, *a.dims))
-        wit_b = wb.compose(_embed_witness(norm_b, *b.dims))
     else:
-        la, ka = canonical_label(ca)
-        lb, kb = canonical_label(cb)
+        la, wla, stage_a = _canonical_label(ca)
+        lb, wlb, stage_b = _canonical_label(cb)
         if la != lb:
+            _verify(a, wa, pa, "regular_part")
+            _verify(b, wb, pb, "regular_part")
+            _verify(ca, wla, la.tensor(), stage_a)
+            _verify(cb, wlb, lb.tensor(), stage_b)
             return False, None
-        wit_a = wa.compose(_embed_witness(ka, *a.dims))
-        wit_b = wb.compose(_embed_witness(kb, *b.dims))
+        ka, kb = (wla.r, wla.s, wla.t), (wlb.r, wlb.s, wlb.t)
 
-    w = wit_a.compose(wit_b.inverse())
+    # a -> padded corner -> normal form <- padded corner <- b, as products
+    w = TransformWitness(
+        *(
+            xa @ _pad(ya, d) @ inverse(xb @ _pad(yb, d))
+            for xa, ya, xb, yb, d in zip(
+                (wa.r, wa.s, wa.t), ka, (wb.r, wb.s, wb.t), kb, a.dims
+            )
+        )
+    )
     _verify(a, w, b, "equivalence")
     return True, w
 

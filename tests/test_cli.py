@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gfcanon import SpatialMatrix, TransformWitness, apply_transform
+from gfcanon import CanonicalSum, ParseError, SpatialMatrix, TransformWitness, apply_transform, cli
 from gfcanon.cli import main
 
 A_GF5 = json.dumps(
@@ -119,6 +119,21 @@ def test_list_canonical(capsys):
     assert all("tensor" in l for l in lines)
 
 
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(
+        cli._Parser, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+    )
+    first = run(capsys, "canonicalize", A_GF5, "--witness")
+    count = len(built)
+    assert first[0] == 0 and run(capsys, "canonicalize", A_GF5, "--witness") == first
+    code, out, err = run(capsys, "canonicalize", A_GF5, "--no-such-flag")
+    assert code == 1 and out == "" and json.loads(err)["error"] == "UsageError"
+    assert run(capsys, "canonicalize", A_GF5, "--witness") == first
+    assert len(built) == count
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(A_GF5))
     code, out, _ = run(capsys, "classify", "-")
@@ -139,6 +154,47 @@ def test_parse_errors_exit_1(capsys):
         code, out, err = run(capsys, *args)
         assert code == 1, args
         assert json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"p": 5, "dims": [1, 1, 1], "slices": [[[1.7]]]},
+        {"p": 5, "dims": [1, 1, 1], "slices": [[[True]]]},
+        {"p": 5, "dims": [1, 1, 1], "slices": [[["3"]]]},
+        {"p": 5, "dims": ["1", 1, 1], "slices": [[[1]]]},
+        {"p": 5, "dims": [1, 1, True], "slices": [[[1]]]},
+        {"p": 5, "dims": [2, -1, 0], "slices": []},
+    ],
+)
+def test_strict_tensor_document_exit_1(capsys, doc):
+    # floats, bools and numeric strings are refused, never reduced mod p
+    code, out, err = run(capsys, "regular-part", json.dumps(doc))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_inline_json_array_is_not_a_path(capsys):
+    code, out, err = run(capsys, "regular-part", "[1,2]")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError" and "No such file" not in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "parse, doc",
+    [
+        (TransformWitness.from_dict, {"p": 5, "R": [[1.0]], "S": [[1]], "T": [[1]]}),
+        (TransformWitness.from_dict, {"p": 5, "R": [[1]], "S": [[True]], "T": [[1]]}),
+        (TransformWitness.from_dict, {"p": 5, "R": [[1]], "S": [[1]], "T": [["1"]]}),
+        (CanonicalSum.from_dict, {"p": 5, "right": [True], "left": [], "finite": []}),
+        (CanonicalSum.from_dict, {"p": 5, "right": [], "left": ["2"], "finite": []}),
+        (CanonicalSum.from_dict, {"p": 5, "right": [], "left": [], "finite": [[1.5, 1]]}),
+    ],
+)
+def test_strict_witness_and_label_documents(parse, doc):
+    with pytest.raises(ParseError):
+        parse(doc)
 
 
 def test_not_prime_exit_1(capsys):

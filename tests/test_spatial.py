@@ -350,12 +350,19 @@ def test_regular_part_witness_checked_under_python_O(tmp_path):
     assert out == "False regular_part witness failed to verify"
 
 
-def test_canonical_label_checks_its_witness_once(monkeypatch):
-    # one apply_transform per label, on both the identity-mix return and
-    # the composed-witness return
+def _count_checks(monkeypatch) -> list:
+    # counts the package's own witness checks; the tests' apply_transform
+    # is the unpatched function
     calls = []
     apply = spatial.apply_transform
     monkeypatch.setattr(spatial, "apply_transform", lambda a, w: calls.append(1) or apply(a, w))
+    return calls
+
+
+def test_canonical_label_checks_its_witness_once(monkeypatch):
+    # one apply_transform per label, on both the identity-mix return and
+    # the composed-witness return
+    calls = _count_checks(monkeypatch)
     rng = random.Random(15)
     mixed = 0
     for _ in range(40):
@@ -369,6 +376,56 @@ def test_canonical_label_checks_its_witness_once(monkeypatch):
         mixed += spatial._theorem1(a)[0] != label
         calls.clear()
     assert mixed >= 5
+
+
+def test_classify_checks_only_the_returned_witness(monkeypatch):
+    rng = random.Random(16)
+    theorem2_catalog(F5)  # filling the catalog checks its own labels, once per p
+    calls = _count_checks(monkeypatch)
+    for u, v in ((1, 0), (0, 2), (1, 1)):
+        a = apply_transform(_d_tensor(F5, u, v), rand_witness(rng, F5, 2, 2, 2))
+        cls, w = classify_regular(a)
+        assert len(calls) == 1
+        assert apply_transform(a, w) == cls.representative()
+        calls.clear()
+
+
+def test_equivalent_checks_each_witness_it_rests_on_once(monkeypatch):
+    # True: only the returned witness; False on corner dims: the two
+    # regular-part witnesses; False on labels: those and the two label witnesses
+    rng = random.Random(17)
+    a = rand_tensor(rng, F5, 3, 3, 2)
+    b = apply_transform(a, rand_witness(rng, F5, 3, 3, 2))
+    three_roots = CanonicalSum(F5, (), (), tuple(Poly(F5, (-r, 1)) for r in range(3)))
+    c = apply_transform(three_roots.tensor(), rand_witness(rng, F5, 3, 3, 2))
+    padded = SpatialMatrix(
+        F5, [[[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]]], 3, 3
+    )
+    assert is_regular(a) and is_regular(c) and canonical_label(a)[0] != canonical_label(c)[0]
+    calls = _count_checks(monkeypatch)
+    for x, y, answer, checks in ((a, b, True, 1), (a, padded, False, 2), (a, c, False, 4)):
+        ok, w = equivalent(x, y)
+        assert ok is answer and len(calls) == checks, (answer, len(calls))
+        assert w is None or apply_transform(x, w) == y
+        calls.clear()
+
+
+def test_equivalent_checks_regular_part_witnesses_under_python_O(tmp_path):
+    # the corner dims differ, so the answer rests on the regular-part witnesses alone
+    out = run_python_O(tmp_path, """
+        from gfcanon import PrimeField, SpatialMatrix, WitnessError, spatial
+
+        witness = spatial.TransformWitness
+        spatial.TransformWitness = lambda r, s, t: witness(r.scale(2), s, t)
+        fld = PrimeField(5)
+        a = SpatialMatrix(fld, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], 2, 2)
+        b = SpatialMatrix(fld, [[[1, 0], [0, 0]], [[0, 1], [0, 0]]], 2, 2)
+        try:
+            spatial.equivalent(a, b)
+        except WitnessError as exc:
+            print(__debug__, exc)
+    """)
+    assert out == "False regular_part witness failed to verify"
 
 
 def test_classification_witness_checked_under_python_O(tmp_path):
