@@ -7,6 +7,8 @@ operation; those show up routinely as empty block sums and empty kernels.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import chain
 from math import isqrt
 from operator import mul
@@ -137,6 +139,9 @@ class Matrix:
         if self.n != other.m:
             raise DimensionMismatchError(f"matmul {self.shape} vs {other.shape}")
         p = self.field.p
+        # the selection predicate, as in rref: a product slot holds k (p - 1)^2
+        if other.n >= PACKED_MATMUL_MIN and (slot := _slot(self.n * (p - 1) ** 2 + 1)):
+            return Matrix._trusted(self.field, _matmul_packed(self, other, slot), other.n)
         ot = tuple(zip(*other.rows)) if other.rows else ((),) * other.n
         rows = tuple(
             tuple(sum(map(mul, ra, oc)) % p for oc in ot) for ra in self.rows
@@ -206,6 +211,103 @@ class Matrix:
         return f"Matrix(GF({self.field.p}), {self.m}x{self.n}, {list(map(list, self.rows))})"
 
 
+# -- packed rows -------------------------------------------------------------
+#
+# Above a size where it pays, rref and @ hold each row as one int with every
+# entry in a fixed w-bit slot, so a row operation is one big-int multiply-add.
+# Slots are reduced mod p only when read, and rows only ever gain nonnegative
+# multiples of other rows, so no slot borrows or (with w sized from the bound
+# below) carries into the next one.
+
+# (w, array code) of each slot width, narrowest first; the layout needs
+# little-endian items, elsewhere only the list path runs
+_CODES = {array(c).itemsize: c for c in "QLIHB"}
+_SLOTS = tuple((8 * s, _CODES[s]) for s in (1, 2, 4, 8)) if sys.byteorder == "little" else ()
+# measured crossovers: the packed path is used from these sizes up
+PACKED_RREF_MIN = 8  # min(m, n)
+PACKED_MATMUL_MIN = 8  # n, the width of the product
+
+
+def _slot(bound: int) -> tuple[int, str] | None:
+    """(w, array code) of the narrowest slot holding every int in [0, bound),
+    or None above 64 bits."""
+    for w, code in _SLOTS:
+        if bound <= 1 << w:
+            return w, code
+    return None
+
+
+def _rref_slot(mat: Matrix) -> tuple[int, str] | None:
+    # a slot starts below p, and each of at most min(m, n) eliminations adds
+    # at most (p - 1)^2 to it (a pivot row is reduced before it is used)
+    p = mat.field.p
+    return _slot(p + min(mat.m, mat.n) * (p - 1) ** 2)
+
+
+def _pack(row, code: str) -> int:
+    return int.from_bytes(array(code, row).tobytes(), "little")
+
+
+def _unpack(v: int, width: int, slot: tuple[int, str]):
+    """The `width` slots of v, not reduced."""
+    w, code = slot
+    return memoryview(v.to_bytes(width * w // 8, "little")).cast(code)
+
+
+def _eliminate(mat: Matrix, record: bool, slot: tuple[int, str]) -> tuple[list[int], int]:
+    """The list path of rref on packed rows: the same pivots, swaps,
+    normalizations and eliminations, on rows [mat | E] (only mat without
+    the record).  Returns the rows, not reduced, and the rank."""
+    field, p, m, n = mat.field, mat.field.p, mat.m, mat.n
+    w, code = slot
+    mask = (1 << w) - 1
+    width = n + m if record else n
+    a = [_pack(r, code) for r in mat.rows]
+    if record:
+        a = [v | 1 << (n + i) * w for i, v in enumerate(a)]
+    rank = 0
+    for col in range(n):
+        sh = col * w
+        for piv in range(rank, m):
+            if (a[piv] >> sh & mask) % p:
+                break
+        else:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        vals = _unpack(a[rank], width, slot)
+        inv = field.inv(vals[col])
+        row = _pack([x * inv % p for x in vals], code)
+        a[rank] = row
+        for i, v in enumerate(a):
+            f = (v >> sh & mask) % p
+            if f and i != rank:
+                a[i] = v + (p - f) * row
+        rank += 1
+        if rank == m:
+            break
+    return a, rank
+
+
+def _rref_packed(mat: Matrix, record: bool, slot: tuple[int, str]):
+    """rref(mat, record) on packed rows."""
+    p, m, n = mat.field.p, mat.m, mat.n
+    a, rk = _eliminate(mat, record, slot)
+    rows = [tuple([x % p for x in _unpack(v, n + m if record else n, slot)]) for v in a]
+    r = Matrix._trusted(mat.field, tuple(row[:n] for row in rows) if record else tuple(rows), n)
+    if not record:
+        return r, None, rk
+    return r, Matrix._trusted(mat.field, tuple(row[n:] for row in rows), m), rk
+
+
+def _matmul_packed(a: Matrix, b: Matrix, slot: tuple[int, str]) -> tuple:
+    """Rows of a @ b: each row one sum of products of packed rows of b."""
+    p, n = a.field.p, b.n
+    packed = [_pack(r, slot[1]) for r in b.rows]
+    return tuple(
+        tuple([x % p for x in _unpack(sum(map(mul, ra, packed)), n, slot)]) for ra in a.rows
+    )
+
+
 def rref(mat: Matrix, record: bool = True) -> tuple[Matrix, Matrix | None, int]:
     """Reduced row echelon form.
 
@@ -213,7 +315,12 @@ def rref(mat: Matrix, record: bool = True) -> tuple[Matrix, Matrix | None, int]:
     pivots with zeros above and below, pivot columns strictly increasing,
     zero rows last.  E is the row-op record (starts as identity); with
     record=False it is not built and None comes back in its place.
+    From min(m, n) = PACKED_RREF_MIN up, with slots of at most 64 bits, it
+    runs on packed rows with bit-identical results; the list path below
+    serves the rest and referees the packed one in the tests.
     """
+    if mat.m >= PACKED_RREF_MIN and mat.n >= PACKED_RREF_MIN and (slot := _rref_slot(mat)):
+        return _rref_packed(mat, record, slot)
     p = mat.field.p
     field = mat.field
     a = [list(r) for r in mat.rows]
@@ -258,6 +365,8 @@ def rref(mat: Matrix, record: bool = True) -> tuple[Matrix, Matrix | None, int]:
 
 
 def rank(mat: Matrix) -> int:
+    if mat.m >= PACKED_RREF_MIN and mat.n >= PACKED_RREF_MIN and (slot := _rref_slot(mat)):
+        return _eliminate(mat, False, slot)[1]  # no unpacking
     return rref(mat, record=False)[2]
 
 
@@ -297,23 +406,25 @@ def kernel_basis(mat: Matrix) -> Matrix:
 
 
 def solve_right(a: Matrix, b: Matrix) -> Matrix | None:
-    """One solution X of a @ X == b (free variables zeroed), or None."""
+    """One solution X of a @ X == b (free variables zeroed), or None.
+
+    One reduction of [a | b]: a pivot in a column of b means no solution;
+    otherwise row i of the b part is the value of the i-th pivot variable.
+    """
     a._same_field(b)
     if a.m != b.m:
         raise DimensionMismatchError("solve_right row counts differ")
-    r, e, rk = rref(a)
-    eb = e @ b
-    for i in range(rk, a.m):
-        if any(eb.rows[i]):
-            return None
-    x = [[0] * b.n for _ in range(a.n)]
+    r, _, rk = rref(Matrix.hstack([a, b]), record=False)
+    x = [(0,) * b.n] * a.n
     j = 0
-    for i in range(rk):
-        while r.rows[i][j] == 0:
+    for row in r.rows[:rk]:
+        while row[j] == 0:
             j += 1
-        x[j] = list(eb.rows[i])
+        if j >= a.n:
+            return None
+        x[j] = row[a.n :]
         j += 1
-    return Matrix(a.field, x, b.n)
+    return Matrix._trusted(a.field, tuple(x), b.n)
 
 
 def char_poly(mat: Matrix) -> Poly:

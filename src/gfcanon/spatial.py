@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import chain, groupby
 
 from .errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     FieldTooLargeForSearchError,
     FieldTooSmallError,
@@ -370,18 +371,37 @@ def pgl2_reps(fld: PrimeField) -> tuple[tuple[int, int, int, int], ...]:
     return _PGL2_CACHE[p]
 
 
-def _anchored_mixes(finite: tuple[Poly, ...]) -> list[tuple[int, int, int, int]]:
-    """The members of pgl2_reps that send some anchor to 0, in the same order.
+# candidate mixes one orbit scan may try; the largest scan any test or
+# benchmark workload runs is the full one at p = 101, 1,030,200 mixes
+ORBIT_SCAN_BUDGET = 10**7
 
-    An anchor is a root r of a least-degree divisor equal to (x - r)**l.  The mix
-    (a, b, c, d) sends r to (d*r + c)/(b*r + a): to 0 when c = -d*r and b*r + a != 0
-    (then d != 0, the mix being invertible)."""
+
+def _anchors(finite: tuple[Poly, ...]) -> set[int]:
+    """The roots r of the least-degree divisors equal to (x - r)**l.
+
+    With q the largest power of p dividing l, (x - r)**l = (x**q - r)**(l/q),
+    whose x**(l - q) coefficient is -(l/q) r: one coefficient gives r, and
+    one power confirms it."""
     fld, l = finite[0].field, finite[0].degree  # finite is sorted by degree
     p = fld.p
-    anchors = {
-        r for f in finite if f.degree == l for r in range(p)
-        if not f.evaluate(r) and Poly(fld, (-r, 1)) ** l == f
-    }
+    q = 1
+    while l % (q * p) == 0:
+        q *= p
+    out = set()
+    for f in finite:
+        if f.degree == l:
+            r = -f.coeff(l - q) * fld.inv(l // q) % p
+            if Poly(fld, (-r, 1)) ** l == f:
+                out.add(r)
+    return out
+
+
+def _anchored_mixes(anchors: set[int], p: int) -> list[tuple[int, int, int, int]]:
+    """The members of pgl2_reps that send some anchor to 0, in the same order.
+
+    The mix (a, b, c, d) sends r to (d*r + c)/(b*r + a): to 0 when c = -d*r and
+    b*r + a != 0 (then d != 0, the mix being invertible); p (p - 1) mixes for
+    each anchor."""
     pairs = [(0, 1)] + [(1, b) for b in range(p)]
     return sorted((a, b, -d * r % p, d) for r in anchors for d in range(1, p)
                   for a, b in pairs if (b * r + a) % p)
@@ -404,7 +424,7 @@ def mobius_orbit_minimize(cs: CanonicalSum) -> tuple[CanonicalSum, Mobius2x2]:
     identity when cs is least, else the first such mix in pgl2_reps order.
 
     Mixes keep divisor degrees; inadmissible ones (driving one down) are
-    skipped.  With anchors (see _anchored_mixes) the least label starts with
+    skipped.  With anchors (see _anchors) the least label starts with
     x**l, reached only by mixes sending an anchor to 0 (the translation
     x -> x - r is one): O(k p^2) substitutions for k anchors, and all p^3 - p
     mixes with none.  A candidate is dropped as soon as its least-degree images
@@ -417,7 +437,13 @@ def mobius_orbit_minimize(cs: CanonicalSum) -> tuple[CanonicalSum, Mobius2x2]:
     groups = [[f.coeffs for f in g] for _, g in groupby(cs.finite, key=lambda f: f.degree)]
     best = [_image_keys(g, (1, 0, 0, 1), p) for g in groups]
     best_quad = None
-    for quad in _anchored_mixes(cs.finite) or pgl2_reps(fld):
+    anchors = _anchors(cs.finite)
+    count = len(anchors) * p * (p - 1) if anchors else p**3 - p
+    if count > ORBIT_SCAN_BUDGET:
+        raise BudgetExceededError(
+            f"orbit minimization would scan {count} slice mixes, over the budget of {ORBIT_SCAN_BUDGET}"
+        )
+    for quad in _anchored_mixes(anchors, p) if anchors else pgl2_reps(fld):
         first = _image_keys(groups[0], quad, p)
         if first is None or first > best[0]:
             continue
@@ -670,7 +696,9 @@ class RegularClass22:
         return d
 
 
-_CATALOG_CACHE: dict[int, list[RegularClass22]] = {}
+# per p: the catalog, and the canonical label and inverted witness factors
+# (R^-1, S^-1, T^-1) of each representative labelled so far
+_CATALOG_CACHE: dict[int, tuple[list[RegularClass22], dict[RegularClass22, tuple]]] = {}
 
 
 def theorem2_catalog(fld: PrimeField) -> list[RegularClass22]:
@@ -682,7 +710,8 @@ def theorem2_catalog(fld: PrimeField) -> list[RegularClass22]:
     are genuinely separate.
     """
     if fld.p in _CATALOG_CACHE:
-        return _CATALOG_CACHE[fld.p]
+        return _CATALOG_CACHE[fld.p][0]
+    labels: dict[RegularClass22, tuple] = {}
     out = [
         RegularClass22("C1x1x1", fld),
         RegularClass22("C2x2x1", fld),
@@ -692,22 +721,28 @@ def theorem2_catalog(fld: PrimeField) -> list[RegularClass22]:
     seen: set = set()
     for v in range(fld.p):
         cls = RegularClass22("A", fld, v)
-        label, _ = canonical_label(cls.representative())
+        label, w = canonical_label(cls.representative())
         if label not in seen:
             seen.add(label)
             out.append(cls)
+            labels[cls] = _label_entry(label, w)
     if fld.p == 2:
         for v in range(2):
             cls = RegularClass22("B", fld, v)
-            label, _ = canonical_label(cls.representative())
+            label, w = canonical_label(cls.representative())
             assert label not in seen, "B labels must not collide with A"
             seen.add(label)
             out.append(cls)
+            labels[cls] = _label_entry(label, w)
     out.append(RegularClass22("C3x2x2_s2", fld))
     out.append(RegularClass22("C3x2x2_s3", fld))
     out.append(RegularClass22("C4x2x2", fld))
-    _CATALOG_CACHE[fld.p] = out
+    _CATALOG_CACHE[fld.p] = (out, labels)
     return out
+
+
+def _label_entry(label: CanonicalSum, w: TransformWitness) -> tuple:
+    return label, inverse(w.r), inverse(w.s), inverse(w.t)
 
 
 def classify_regular(a: SpatialMatrix) -> tuple[RegularClass22, TransformWitness]:
@@ -746,16 +781,19 @@ def classify_regular(a: SpatialMatrix) -> tuple[RegularClass22, TransformWitness
         return cls, w
 
     label, w_a, _ = _canonical_label(a)
-    for cls in theorem2_catalog(fld):
+    catalog = theorem2_catalog(fld)
+    labels = _CATALOG_CACHE[fld.p][1]
+    for cls in catalog:
         rep = cls.representative()
         if rep.dims != a.dims:
             continue
-        rep_label, w_rep, _ = _canonical_label(rep)
+        if cls not in labels:
+            rep_label, w_rep, _ = _canonical_label(rep)
+            labels[cls] = _label_entry(rep_label, w_rep)
+        rep_label, r_inv, s_inv, t_inv = labels[cls]
         if rep_label == label:
             # a -> label tensor <- rep, checked once as one witness
-            w = TransformWitness(
-                w_a.r @ inverse(w_rep.r), w_a.s @ inverse(w_rep.s), w_a.t @ inverse(w_rep.t)
-            )
+            w = TransformWitness(w_a.r @ r_inv, w_a.s @ s_inv, w_a.t @ t_inv)
             _verify(a, w, rep, "classification")
             return cls, w
     raise AssertionError("catalog must cover every regular tensor of these shapes")

@@ -1,6 +1,8 @@
 import io
 import json
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -224,6 +226,26 @@ def test_budget_exit_2(capsys):
     code, _, err = run(capsys, "orbit", "--p", "3", "--shape", "3x3x3")
     assert code == 2
     assert json.loads(err)["error"] == "BudgetExceededError"
+
+
+def test_orbit_budget_exit_2_at_large_p(capsys):
+    # divisors (x - 1)(x + 1): two anchors, 2 p (p - 1) mixes at p = 2^31 - 1
+    p = 2**31 - 1
+    doc = json.dumps({"p": p, "dims": [2, 2, 2], "slices": [[[1, 0], [0, 1]], [[1, 0], [0, p - 1]]]})
+    main(["canonicalize", A_GF5])  # builds the parser off the clock
+    capsys.readouterr()
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, _, err = run(capsys, "canonicalize", doc)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and seconds < 0.5 and peak < 2**20
+    diag = json.loads(err)
+    assert diag["error"] == "BudgetExceededError"
+    assert "orbit" in diag["message"] and str(2 * p * (p - 1)) in diag["message"]
 
 
 def test_field_too_small_exit_2_with_blocks(capsys):

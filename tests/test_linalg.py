@@ -18,6 +18,7 @@ from gfcanon import (
     solve_right,
 )
 from gfcanon.errors import DimensionMismatchError, NotMonicError, SingularMatrixError
+from gfcanon import linalg
 from gfcanon.linalg import SpanTracker, complete_basis_cols
 
 F2 = PrimeField(2)
@@ -157,6 +158,11 @@ def test_solve_right():
         assert x is not None and a @ x == b
     # clearly unsolvable: zero matrix, nonzero target
     assert solve_right(Matrix.zero(F3, 2, 2), Matrix(F3, [[1, 0], [0, 0]], 2)) is None
+    # row 2 of a is twice row 1 but row 2 of b is not: the reduction of
+    # [a | b] puts its last pivot in the b column
+    a = Matrix(F5, [[1, 2, 0], [2, 4, 0], [0, 0, 1]], 3)
+    assert solve_right(a, Matrix(F5, [[1], [3], [4]], 1)) is None
+    assert solve_right(a, Matrix(F5, [[1], [2], [4]], 1)).rows == ((1,), (0,), (4,))
 
 
 def test_companion_char_poly_exhaustive_small():
@@ -313,3 +319,88 @@ def test_complete_basis_cols():
             assert tuple(completed.at(i, j) for i in range(d)) == cols[j]
     with pytest.raises(SingularMatrixError):
         complete_basis_cols(F3, [(1, 0), (2, 0)], 2)
+
+
+# -- packed rows against the list path ------------------------------------------------
+
+# (p, k) pairs whose slot bound sits just below and just above 2^8, 2^16,
+# 2^32 and 2^64, with the slot width each side takes (None: the list path)
+RREF_EDGES = [  # bound p + k (p - 1)^2, k = min(m, n)
+    (5, 15, 8), (5, 16, 16), (101, 6, 16), (101, 7, 32),
+    (65521, 1, 32), (65521, 2, 64), (2**31 - 1, 4, 64), (2**31 - 1, 5, None),
+]
+MATMUL_EDGES = [  # bound k (p - 1)^2 + 1, k the inner dimension
+    (5, 15, 8), (5, 16, 16), (101, 6, 16), (101, 7, 32),
+    (65521, 1, 32), (65521, 2, 64), (2**31 - 1, 4, 64), (2**31 - 1, 5, None),
+]
+
+
+def _list_and_packed(monkeypatch, fn):
+    """fn() with the list path forced, then with the packed path wherever a
+    slot fits."""
+    monkeypatch.setattr(linalg, "PACKED_RREF_MIN", 10**9)
+    monkeypatch.setattr(linalg, "PACKED_MATMUL_MIN", 10**9)
+    listed = fn()
+    monkeypatch.setattr(linalg, "PACKED_RREF_MIN", 0)
+    monkeypatch.setattr(linalg, "PACKED_MATMUL_MIN", 0)
+    return listed, fn()
+
+
+def _referee_matrices(rng, fld, m, n):
+    p = fld.p
+    yield rand_matrix(rng, fld, m, n)
+    k = min(m, n)
+    yield rand_matrix(rng, fld, m, k // 2) @ rand_matrix(rng, fld, k // 2, n)  # rank <= k/2
+    yield Matrix(fld, [[p - 1] * n for _ in range(m)], n)
+    if k:
+        # rows e_i + (p - 1) e_last, then rows of ones: each elimination adds
+        # (p - 1)^2 to the last slot of every later row
+        rows = [[int(j == i) for j in range(n - 1)] + [p - 1] for i in range(k - 1)]
+        rows += [[1] * (k - 1) + [0] * (n - k) + [p - 1] for _ in range(m - k + 1)]
+        yield Matrix(fld, rows, n)
+
+
+def _rref_both_paths(monkeypatch, a):
+    listed, packed = _list_and_packed(
+        monkeypatch, lambda: (rref(a), rref(a, record=False), rank(a))
+    )
+    assert packed == listed
+    r, e, rk = packed[0]
+    assert e @ a == r and packed[1] == (r, None, rk) and packed[2] == rk
+
+
+def test_packed_slot_widths_at_the_edges():
+    for p, k, w in RREF_EDGES:
+        for m, n in ((k, k + 1), (k + 1, k)):
+            slot = linalg._rref_slot(Matrix.zero(PrimeField(p), m, n))
+            assert (slot or (None,))[0] == w
+    for p, k, w in MATMUL_EDGES:
+        assert (linalg._slot(k * (p - 1) ** 2 + 1) or (None,))[0] == w
+
+
+def test_packed_rref_matches_list_path(monkeypatch):
+    rng = random.Random(80)
+    shapes = [(0, 5), (5, 0), (0, 0), (1, 1), (3, 6), (6, 3), (8, 8), (9, 12), (12, 9), (16, 17)]
+    for p in (2, 3, 5, 101, 65521, 2**31 - 1):
+        fld = PrimeField(p)
+        for m, n in shapes:
+            for a in _referee_matrices(rng, fld, m, n):
+                _rref_both_paths(monkeypatch, a)
+    for p, k, _ in RREF_EDGES:
+        fld = PrimeField(p)
+        for m, n in ((k, k + 2), (k + 3, k), (k, k)):
+            for a in _referee_matrices(rng, fld, m, n):
+                _rref_both_paths(monkeypatch, a)
+
+
+def test_packed_matmul_matches_list_path(monkeypatch):
+    rng = random.Random(81)
+    shapes = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (1, 1, 1), (2, 8, 1), (4, 4, 8), (8, 8, 8), (16, 16, 16)]
+    cases = [(p, m, k, n) for p in (2, 3, 5, 101, 65521, 2**31 - 1) for m, k, n in shapes]
+    cases += [(p, m, k, n) for p, k, _ in MATMUL_EDGES for m, n in ((3, 9), (9, 3))]
+    for p, m, k, n in cases:
+        fld = PrimeField(p)
+        for a in _referee_matrices(rng, fld, m, k):
+            for b in _referee_matrices(rng, fld, k, n):
+                listed, packed = _list_and_packed(monkeypatch, lambda: a @ b)
+                assert packed == listed and packed.shape == (m, n)

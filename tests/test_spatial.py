@@ -285,6 +285,7 @@ def test_orbit_minimize_matches_full_scan():
             least = [f for f in finite if f.degree == min(g.degree for g in finite)]
             roots = {r for f in least for r in range(p) if f.evaluate(r) == 0}
             anchors = {r for f in least for r in roots if f == Poly(fld, (-r, 1)) ** f.degree}
+            assert spatial._anchors(cs.finite) == anchors, finite
             seen["single"] += len(finite) == 1
             seen["repeated"] += len(set(finite)) < len(finite)
             seen["no_anchor"] += not anchors
@@ -387,6 +388,21 @@ def test_classify_checks_only_the_returned_witness(monkeypatch):
         cls, w = classify_regular(a)
         assert len(calls) == 1
         assert apply_transform(a, w) == cls.representative()
+        calls.clear()
+
+
+def test_classify_labels_the_catalog_once_per_p(monkeypatch):
+    rng = random.Random(18)
+    tensors = [apply_transform(_d_tensor(F5, u, v), rand_witness(rng, F5, 2, 2, 2))
+               for u, v in ((1, 0), (0, 2), (1, 1))]
+    monkeypatch.setattr(spatial, "_CATALOG_CACHE", {})
+    cold = [classify_regular(a) for a in tensors]
+    calls = []
+    label = spatial._canonical_label
+    monkeypatch.setattr(spatial, "_canonical_label", lambda a: calls.append(1) or label(a))
+    for a, want in zip(tensors, cold):
+        assert classify_regular(a) == want
+        assert len(calls) == 1
         calls.clear()
 
 
