@@ -488,7 +488,7 @@ def companion(chi: Poly) -> Matrix:
         out[i + 1][i] = 1
     for i in range(l):
         out[i][l - 1] = -chi.coeff(i) % field.p
-    return Matrix(field, out, l)
+    return Matrix._trusted(field, tuple(map(tuple, out)), l)
 
 
 def poly_evaluator(mat: Matrix, degree: int):

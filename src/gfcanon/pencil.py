@@ -61,18 +61,18 @@ class PencilBlock:
         f = self.fld
         if self.kind == "right":
             r = self.index
-            b1 = [[1 if j == i else 0 for j in range(r)] for i in range(r - 1)]
-            b2 = [[1 if j == i + 1 else 0 for j in range(r)] for i in range(r - 1)]
-            return Matrix(f, b1, r), Matrix(f, b2, r)
+            b1 = tuple(tuple(1 if j == i else 0 for j in range(r)) for i in range(r - 1))
+            b2 = tuple(tuple(1 if j == i + 1 else 0 for j in range(r)) for i in range(r - 1))
+            return Matrix._trusted(f, b1, r), Matrix._trusted(f, b2, r)
         if self.kind == "left":
             s = self.index
-            b1 = [[1 if j == i else 0 for j in range(s - 1)] for i in range(s)]
-            b2 = [[1 if j == i - 1 else 0 for j in range(s - 1)] for i in range(s)]
-            return Matrix(f, b1, s - 1), Matrix(f, b2, s - 1)
+            b1 = tuple(tuple(1 if j == i else 0 for j in range(s - 1)) for i in range(s))
+            b2 = tuple(tuple(1 if j == i - 1 else 0 for j in range(s - 1)) for i in range(s))
+            return Matrix._trusted(f, b1, s - 1), Matrix._trusted(f, b2, s - 1)
         if self.kind == "inf":
             l = self.index
-            j = [[1 if i == k + 1 else 0 for k in range(l)] for i in range(l)]
-            return Matrix(f, j, l), Matrix.identity(f, l)
+            j = tuple(tuple(1 if i == k + 1 else 0 for k in range(l)) for i in range(l))
+            return Matrix._trusted(f, j, l), Matrix.identity(f, l)
         if self.kind == "finite":
             return Matrix.identity(f, self.divisor.degree), companion(self.divisor)
         raise ValueError(f"unknown block kind {self.kind!r}")
@@ -279,7 +279,8 @@ def _minimal_right_solution(b1: Matrix, b2: Matrix, d: int) -> list[list[int]]:
 
 
 def _right_reduction(b1: Matrix, b2: Matrix, eps: int, us: list[list[int]]):
-    """Local (P, Q) splitting off one right-singular block of index eps."""
+    """Local (P, Q) splitting off one right-singular block of index eps, and
+    the remainder (D1, D2) that P (B) Q leaves below and right of the block."""
     fld = b1.field
     m, n = b1.shape
     q_cols = []
@@ -331,19 +332,12 @@ def _right_reduction(b1: Matrix, b2: Matrix, eps: int, us: list[list[int]]):
     flat = sol.col(0)
     z = Matrix(fld, [[flat[k * nc + j] for j in range(nc)] for k in range(eps + 1)], nc)
     y = Matrix(fld, [[flat[nz + i * mr + t] for t in range(mr)] for i in range(eps)], mr)
-    p1 = Matrix.vstack(
-        [
-            Matrix.hstack([Matrix.identity(fld, eps), y]),
-            Matrix.hstack([Matrix.zero(fld, mr, eps), Matrix.identity(fld, mr)]),
-        ]
-    ) if eps else Matrix.identity(fld, m)
-    q1 = Matrix.vstack(
-        [
-            Matrix.hstack([Matrix.identity(fld, eps + 1), z]),
-            Matrix.hstack([Matrix.zero(fld, nc, eps + 1), Matrix.identity(fld, nc)]),
-        ]
-    ) if nc else Matrix.identity(fld, n)
-    return p1 @ p0, q0 @ q1
+    # [[I, Y], [0, I]] @ p0 and q0 @ [[I, Z], [0, I]], as block updates
+    p_low = p0.submatrix(eps, m, 0, m)
+    q_left = q0.submatrix(0, n, 0, eps + 1)
+    p_loc = Matrix.vstack([p0.submatrix(0, eps, 0, m) + y @ p_low, p_low])
+    q_loc = Matrix.hstack([q_left, q_left @ z + q0.submatrix(0, n, eps + 1, n)])
+    return p_loc, q_loc, d1, d2
 
 
 def _wong_step(e_in: Matrix, e_im: Matrix, cur: Matrix) -> Matrix:
@@ -368,8 +362,9 @@ def _chain_limit(e_in: Matrix, e_im: Matrix, start: Matrix) -> Matrix:
         cur = nxt
 
 
-def _right_widths(a1: Matrix, a2: Matrix) -> list[int]:
-    """Widths r_j (minimal index + 1) of the right-singular blocks, ascending.
+def _right_widths(a1: Matrix, a2: Matrix) -> tuple[list[int], Matrix, Matrix | None]:
+    """Widths r_j (minimal index + 1) of the right-singular blocks, ascending,
+    with ker A1 and V* (None when A1 is one-to-one but not onto).
 
     With V* the limit of V -> {v : A2 v in A1 V} from the whole space and
     W_i the iterates of W -> {v : A1 v in A2 W} from 0 (Wong sequences),
@@ -377,43 +372,55 @@ def _right_widths(a1: Matrix, a2: Matrix) -> list[int]:
     last min(i, r_j) coordinates, while nilpotent blocks lie outside V*
     and left and finite blocks outside every W_i.  So the first
     differences count the widths >= i, and the iteration stops once they
-    reach 0.  Costs O(n) Wong steps of O(n^3) each.
+    reach 0, or once W_i & V* fills V*.  Costs O(n) Wong steps of O(n^3)
+    each; V* is the whole space without steps when A1 is onto.
     """
     fld = a1.field
-    n = a1.n
-    w = _wong_step(a1, a2, Matrix.zero(fld, n, 0))  # ker A1
-    if w.n == 0:
-        return []
-    v_star = _chain_limit(a2, a1, Matrix.identity(fld, n))
+    m, n = a1.shape
+    ker = _wong_step(a1, a2, Matrix.zero(fld, n, 0))
+    if n - ker.n == m:  # A1 onto: each step from the whole space returns it
+        v_star = Matrix.identity(fld, n)
+    elif not ker.n:
+        return [], ker, None
+    else:
+        v_star = _chain_limit(a2, a1, Matrix.identity(fld, n))
     at_least = []  # at_least[i - 1] = #{j : r_j >= i}
-    prev = 0
+    w, prev = ker, 0
     while True:
-        dim = w.n + v_star.n - rank(Matrix.hstack([w, v_star]))
+        dim = w.n if v_star.n == n else w.n + v_star.n - rank(Matrix.hstack([w, v_star]))
         if dim == prev:
             break
         at_least.append(dim - prev)
         prev = dim
+        if dim == v_star.n:
+            break
         w = _wong_step(a1, a2, w)
     at_least.append(0)
     widths = []
     for i in range(len(at_least) - 1):
         widths += [i + 1] * (at_least[i] - at_least[i + 1])
-    return widths
+    return widths, ker, v_star
 
 
-def _regular_reduction(e1: Matrix, e2: Matrix):
+def _regular_reduction(
+    e1: Matrix, e2: Matrix, ker: Matrix | None = None, v_fin: Matrix | None = None
+):
     """Split a regular pencil into nilpotent and companion parts.
 
     Returns (P, Q, inf_sizes, finite_divisors) with P (A) Q in canonical
-    block form.
+    block form.  ker E1 and the finite chain's limit are computed unless
+    given (see _right_widths); with ker E1 = 0 that limit is the whole space.
     """
     fld = e1.field
     r = e1.n
     if r == 0:
         i0 = Matrix.identity(fld, 0)
         return i0, i0, [], []
-    v_inf = _chain_limit(e1, e2, Matrix.zero(fld, r, 0))
-    v_fin = _chain_limit(e2, e1, Matrix.identity(fld, r))
+    if ker is None:
+        ker = _wong_step(e1, e2, Matrix.zero(fld, r, 0))
+    v_inf = _chain_limit(e1, e2, ker) if ker.n else ker
+    if v_fin is None:
+        v_fin = _chain_limit(e2, e1, Matrix.identity(fld, r)) if ker.n else Matrix.identity(fld, r)
     assert v_inf.n + v_fin.n == r, "degenerate/companion split must fill the space"
     q_reg = Matrix.hstack([v_inf, v_fin])
     e_mix = Matrix.hstack([e2 @ v_inf, e1 @ v_fin])
@@ -446,29 +453,29 @@ def kronecker_form(a1: Matrix, a2: Matrix) -> tuple[KroneckerForm, PairWitness]:
         raise DimensionMismatchError(f"pencil slices {a1.shape} vs {a2.shape}")
     fld = a1.field
     m, n = a1.shape
-    p_tot = Matrix.identity(fld, m)
-    q_tot = Matrix.identity(fld, n)
-    b1, b2 = a1, a2
+    p_tot = q_tot = None  # P and Q; None while both are the identity
+    b1, b2 = a1, a2  # the remainder: rows row0: and columns col0: of P (A) Q
     row0 = col0 = 0
     right: list[int] = []
     left: list[int] = []
 
-    def embed_apply(p_loc: Matrix, q_loc: Matrix):
-        nonlocal p_tot, q_tot, b1, b2
-        p_full = Matrix.block_diag(fld, [Matrix.identity(fld, row0), p_loc])
-        q_full = Matrix.block_diag(fld, [Matrix.identity(fld, col0), q_loc])
-        p_tot = p_full @ p_tot
-        q_tot = q_tot @ q_full
-        b1 = p_full @ b1 @ q_full
-        b2 = p_full @ b2 @ q_full
+    def split(p_loc: Matrix, q_loc: Matrix):
+        # P (A) Q is block diagonal down to the remainder, so a split acts
+        # only on the trailing rows of P and the trailing columns of Q
+        nonlocal p_tot, q_tot
+        if p_tot is None:
+            p_tot, q_tot = p_loc, q_loc
+            return
+        p_tot = Matrix.vstack([p_tot.submatrix(0, row0, 0, m), p_loc @ p_tot.submatrix(row0, m, 0, m)])
+        q_tot = Matrix.hstack([q_tot.submatrix(0, n, 0, col0), q_tot.submatrix(0, n, col0, n) @ q_loc])
 
     # blocks come off smallest first, so the remainder's least minimal
     # index is always the next predicted width minus one
-    for r in _right_widths(a1, a2):
-        s1 = b1.submatrix(row0, m, col0, n)
-        s2 = b2.submatrix(row0, m, col0, n)
-        us = _minimal_right_solution(s1, s2, r - 1)
-        embed_apply(*_right_reduction(s1, s2, r - 1, us))
+    widths, ker, v_star = _right_widths(a1, a2)
+    for r in widths:
+        us = _minimal_right_solution(b1, b2, r - 1)
+        p_loc, q_loc, b1, b2 = _right_reduction(b1, b2, r - 1, us)
+        split(p_loc, q_loc)
         right.append(r)
         row0 += r - 1
         col0 += r
@@ -477,28 +484,28 @@ def kronecker_form(a1: Matrix, a2: Matrix) -> tuple[KroneckerForm, PairWitness]:
     n_left = m - n + len(right)
     lefts = []
     if n_left:
-        lefts = _right_widths(*(b.submatrix(row0, m, col0, n).transpose() for b in (b1, b2)))
+        lefts = _right_widths(b1.transpose(), b2.transpose())[0]
         if len(lefts) != n_left:
             raise AssertionError("row surplus must equal the number of left-singular blocks")
     for s in lefts:
-        t1 = b1.submatrix(row0, m, col0, n).transpose()
-        t2 = b2.submatrix(row0, m, col0, n).transpose()
+        t1, t2 = b1.transpose(), b2.transpose()
         us = _minimal_right_solution(t1, t2, s - 1)
-        pt, qt = _right_reduction(t1, t2, s - 1, us)
-        embed_apply(qt.transpose(), pt.transpose())
+        pt, qt, d1, d2 = _right_reduction(t1, t2, s - 1, us)
+        split(qt.transpose(), pt.transpose())
+        b1, b2 = d1.transpose(), d2.transpose()
         left.append(s)
         row0 += s
         col0 += s - 1
 
-    s1 = b1.submatrix(row0, m, col0, n)
-    s2 = b2.submatrix(row0, m, col0, n)
-    assert s1.m == s1.n
-    p_loc, q_loc, inf_sizes, finite = _regular_reduction(s1, s2)
-    embed_apply(p_loc, q_loc)
+    assert b1.m == b1.n
+    # a square pencil with no right blocks is the regular remainder itself
+    known = (ker, v_star) if m == n and not right else ()
+    p_loc, q_loc, inf_sizes, finite = _regular_reduction(b1, b2, *known)
+    split(p_loc, q_loc)
 
     assert right == sorted(right) and left == sorted(left)
     form = KroneckerForm(fld, tuple(right), tuple(left), tuple(inf_sizes), tuple(finite))
-    if (b1, b2) != form.matrices():
+    if (p_tot @ a1 @ q_tot, p_tot @ a2 @ q_tot) != form.matrices():
         raise WitnessError("kronecker_form witness failed to verify")
     witness = PairWitness(p_tot.transpose(), q_tot)
     return form, witness

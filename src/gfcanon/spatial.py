@@ -359,15 +359,24 @@ def _theorem1(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness]:
 _PGL2_CACHE: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
 
 
+def _pgl2_mixes(p: int):
+    """The members of pgl2_reps, generated lazily in the same order."""
+    for c in range(1, p):
+        for d in range(p):
+            yield 0, 1, c, d
+    for b in range(p):
+        for c in range(p):
+            for d in range(p):
+                if (d - b * c) % p:
+                    yield 1, b, c, d
+
+
 def pgl2_reps(fld: PrimeField) -> tuple[tuple[int, int, int, int], ...]:
     """The p^3 - p invertible slice mixes up to scalar, first nonzero
     coordinate normalized to 1, in lexicographic order."""
     p = fld.p
     if p not in _PGL2_CACHE:
-        reps = [(0, 1, c, d) for c in range(1, p) for d in range(p)]
-        reps += [(1, b, c, d) for b in range(p) for c in range(p) for d in range(p)
-                 if (d - b * c) % p]
-        _PGL2_CACHE[p] = tuple(reps)
+        _PGL2_CACHE[p] = tuple(_pgl2_mixes(p))
     return _PGL2_CACHE[p]
 
 
@@ -396,15 +405,22 @@ def _anchors(finite: tuple[Poly, ...]) -> set[int]:
     return out
 
 
-def _anchored_mixes(anchors: set[int], p: int) -> list[tuple[int, int, int, int]]:
-    """The members of pgl2_reps that send some anchor to 0, in the same order.
+def _anchored_mixes(anchors: set[int], p: int):
+    """The members of pgl2_reps that send some anchor to 0, generated lazily
+    in the same order.
 
     The mix (a, b, c, d) sends r to (d*r + c)/(b*r + a): to 0 when c = -d*r and
     b*r + a != 0 (then d != 0, the mix being invertible); p (p - 1) mixes for
-    each anchor."""
-    pairs = [(0, 1)] + [(1, b) for b in range(p)]
-    return sorted((a, b, -d * r % p, d) for r in anchors for d in range(1, p)
-                  for a, b in pairs if (b * r + a) % p)
+    each anchor.  For each (a, b), c = 0 takes every d from the anchor 0, and
+    each c != 0 takes d = -c/r from every anchor r != 0."""
+    for a, b in chain([(0, 1)], ((1, b) for b in range(p))):
+        live = [r for r in anchors if (b * r + a) % p]
+        neg_inv = [-pow(r, -1, p) % p for r in live if r]
+        if 0 in live:
+            yield from ((a, b, 0, d) for d in range(1, p))
+        for c in range(1, p):
+            for d in sorted(c * x % p for x in neg_inv):
+                yield a, b, c, d
 
 
 def _image_keys(group, quad, p: int) -> list[tuple[int, ...]] | None:
@@ -443,7 +459,7 @@ def mobius_orbit_minimize(cs: CanonicalSum) -> tuple[CanonicalSum, Mobius2x2]:
         raise BudgetExceededError(
             f"orbit minimization would scan {count} slice mixes, over the budget of {ORBIT_SCAN_BUDGET}"
         )
-    for quad in _anchored_mixes(anchors, p) if anchors else pgl2_reps(fld):
+    for quad in _anchored_mixes(anchors, p) if anchors else _pgl2_mixes(p):
         first = _image_keys(groups[0], quad, p)
         if first is None or first > best[0]:
             continue

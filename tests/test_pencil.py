@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -18,6 +20,7 @@ from gfcanon import (
     kernel_basis,
     kronecker_form,
     pencil,
+    rank,
 )
 from gfcanon.errors import DimensionMismatchError
 from gfcanon.linalg import SpanTracker
@@ -328,9 +331,10 @@ def _searched_right_widths(b1, b2):
         m, n = b1.shape
         v = ker.col(0)
         us = [list(v[j * n : (j + 1) * n]) for j in range(d + 1)]
-        p, q = pencil._right_reduction(b1, b2, d, us)
+        p, q, d1, d2 = pencil._right_reduction(b1, b2, d, us)
         b1 = (p @ b1 @ q).submatrix(d, m, d + 1, n)
         b2 = (p @ b2 @ q).submatrix(d, m, d + 1, n)
+        assert (d1, d2) == (b1, b2)
         widths.append(d + 1)
     return widths, b1, b2
 
@@ -378,8 +382,8 @@ def test_wong_widths_match_toeplitz_search():
         m, n = a1.shape
         right, r1, r2 = _searched_right_widths(a1, a2)
         left, _, _ = _searched_right_widths(r1.transpose(), r2.transpose())
-        assert pencil._right_widths(a1, a2) == right
-        assert pencil._right_widths(a1.transpose(), a2.transpose()) == left
+        assert pencil._right_widths(a1, a2)[0] == right
+        assert pencil._right_widths(a1.transpose(), a2.transpose())[0] == left
         assert len(left) == m - n + len(right)
         form, w = kronecker_form(a1, a2)
         assert (list(form.right), list(form.left)) == (right, left)
@@ -405,10 +409,15 @@ def test_planted_large_pencil_recovered_exactly():
 
 @pytest.mark.parametrize("stage, corrupt, pencil_rows", [
     ("_regular_reduction", "p.scale(2), q, *rest", "[[1, 0], [0, 1]], [[1, 0], [0, 2]]"),
-    ("_right_reduction", "p.scale(2), q", "[[1, 0]], [[0, 1]]"),
-], ids=["regular", "right"])
+    ("_right_reduction", "p.scale(2), q, *rest", "[[1, 0]], [[0, 1]]"),
+    # a 1x2 right block, then the 1x1 block (1, 2) of divisor x - 2
+    ("_right_reduction", "p, q, rest[0].scale(2), rest[1]",
+     "[[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 2]]"),
+], ids=["regular", "right", "right-remainder"])
 def test_kronecker_witness_checked_under_python_O(tmp_path, stage, corrupt, pencil_rows):
-    # the stage returns a wrong row factor; only the final check can see it
+    # the stage returns a wrong row factor or a wrong remainder; the
+    # remainder is not re-derived from products, so only the final check,
+    # computed from the input, can see either
     out = run_python_O(tmp_path, f"""
         from gfcanon import Matrix, PrimeField, WitnessError, pencil
 
@@ -422,8 +431,97 @@ def test_kronecker_witness_checked_under_python_O(tmp_path, stage, corrupt, penc
         f = PrimeField(5)
         b1, b2 = {pencil_rows}
         try:
-            pencil.kronecker_form(Matrix(f, b1, 2), Matrix(f, b2, 2))
+            pencil.kronecker_form(Matrix(f, b1), Matrix(f, b2))
         except WitnessError as exc:
             print(__debug__, exc)
     """)
     assert out == "False kronecker_form witness failed to verify"
+
+
+def _wong_step_cases():
+    chi = Poly(F5, [2, 0, 3, 1, 1])
+    return {
+        "right-6": (KroneckerForm(F5, (6,), (), (), ()).matrices(), 6),
+        "left-4": (KroneckerForm(F5, (), (4,), (), ()).matrices(), 5),
+        "companion-4": ((Matrix.identity(F5, 4), companion(chi)), 1),
+        "nilpotent-1": ((Matrix(F5, [[0, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                         Matrix(F5, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])), 4),
+    }
+
+
+@pytest.mark.parametrize("case", list(_wong_step_cases()))
+def test_wong_steps_skip_what_the_dimensions_give(monkeypatch, case):
+    # V* = I when A1 is onto, W_i stops once it fills V*, the finite chain
+    # is I when ker E1 = 0, and a regular square pencil reuses ker A1 and V*
+    (c1, c2), at_most = _wong_step_cases()[case]
+    rng = random.Random(5)
+    w = PairWitness(rand_invertible(rng, F5, c1.m), rand_invertible(rng, F5, c1.n))
+    a1, a2 = w.apply(c1, c2)
+    steps = []
+    step = pencil._wong_step
+
+    def counted(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(pencil, "_wong_step", counted)
+    form, v = kronecker_form(a1, a2)
+    assert len(steps) <= at_most
+    assert form == kronecker_form(c1, c2)[0] and v.apply(a1, a2) == form.matrices()
+
+
+# -- bit-identity guard --------------------------------------------------------------
+
+
+def _digest_corpus(rng):
+    """(kind, a1, a2) over p in {2, 3, 5, 7, 101}, shapes 0x0 to 9x10: random,
+    rank-deficient, planted, square with singular A1 and no singular block,
+    and A1 onto; 90 pencils of each kind."""
+    fields = [PrimeField(p) for p in (2, 3, 5, 7, 101)]
+    kinds = ("random", "rank-deficient", "planted", "square-regular", "onto")
+    for it in range(450):
+        fld = fields[it % 5]
+        kind = kinds[it // 5 % 5]
+        m, n = rng.randrange(0, 10), rng.randrange(0, 11)
+        if kind == "random":
+            a1, a2 = rand_matrix(rng, fld, m, n), rand_matrix(rng, fld, m, n)
+        elif kind == "rank-deficient":
+            k1, k2 = rng.randrange(0, min(m, n) + 1), rng.randrange(0, min(m, n) + 1)
+            a1 = rand_matrix(rng, fld, m, k1) @ rand_matrix(rng, fld, k1, n)
+            a2 = rand_matrix(rng, fld, m, k2) @ rand_matrix(rng, fld, k2, n)
+        elif kind == "planted":
+            _, (a1, a2) = _rand_planted(rng, fld, 9, 10)
+        elif kind == "square-regular":
+            inf = tuple(rng.randrange(1, 4) for _ in range(rng.randrange(1, 3)))
+            finite = tuple(f.base**f.exp for f in factor_prime_powers(
+                rand_monic(rng, fld, rng.randrange(1, 10 - sum(inf)))))
+            form = KroneckerForm(fld, (), (), inf, finite)
+            d = form.shape[0]
+            w = PairWitness(rand_invertible(rng, fld, d), rand_invertible(rng, fld, d))
+            a1, a2 = w.apply(*form.matrices())
+        else:
+            m = min(m, n)
+            while True:
+                a1 = rand_matrix(rng, fld, m, n)
+                if rank(a1) == m:
+                    break
+            a2 = rand_matrix(rng, fld, m, n)
+        yield kind, a1, a2
+
+
+KRONECKER_DIGEST = "0a425815b8e74b86eea5132eebc105481a8448e04c01d453df937a43f38413d2"
+
+
+def _kronecker_digest():
+    rng = random.Random(2741)
+    h = hashlib.sha256()
+    for _, a1, a2 in _digest_corpus(rng):
+        form, w = kronecker_form(a1, a2)
+        h.update(json.dumps([form.to_dict(), w.r.rows, w.s.rows]).encode())
+    return h.hexdigest()
+
+
+def test_kronecker_forms_and_witnesses_bit_identical():
+    # the digest of every form, R and S on the corpus; a deliberate change
+    # of a witness updates this value and says so in CHANGES.md
+    assert _kronecker_digest() == KRONECKER_DIGEST

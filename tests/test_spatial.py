@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -299,6 +300,43 @@ def test_orbit_minimize_matches_full_scan():
             assert got == want, finite
             assert t.as_ints() == t_want.as_ints(), finite
     assert min(seen.values()) >= 10, seen
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_anchor_scan_is_lazy(monkeypatch):
+    # p^3 - p = 29,760 candidates at p = 31, none of them kept
+    fld = PrimeField(31)
+    chi = next(Poly(fld, (c, 0, 1)) for c in range(31) if all((r * r + c) % 31 for r in range(31)))
+    cs = CanonicalSum(fld, (), (), (chi,))
+    monkeypatch.setattr(spatial, "_PGL2_CACHE", {})
+    assert not spatial._anchors(cs.finite)
+    assert _peak_bytes(lambda: mobius_orbit_minimize(cs)) < 2**19
+    assert spatial._PGL2_CACHE == {}
+
+
+def test_anchored_mixes_are_lazy_and_in_order():
+    p, anchors = 211, {0, 5, 200}
+    pairs = [(0, 1)] + [(1, b) for b in range(p)]
+    old = sorted((a, b, -d * r % p, d) for r in anchors for d in range(1, p)
+                 for a, b in pairs if (b * r + a) % p)
+    assert len(old) == len(anchors) * p * (p - 1)
+
+    def consume():
+        n = 0
+        for got, want in zip(spatial._anchored_mixes(anchors, p), old):
+            assert got == want
+            n += 1
+        assert n == len(old)
+
+    assert _peak_bytes(consume) < 2**19
 
 
 def test_canonical_label_large_field_with_linear_divisor():
