@@ -208,6 +208,10 @@ def apply_transform(a: SpatialMatrix, w: TransformWitness) -> SpatialMatrix:
     return SpatialMatrix(a.fld, out, m, n)
 
 
+# (R, S, T) of an intermediate witness: invertible by construction, so not ranked
+Factors = tuple[Matrix, Matrix, Matrix]
+
+
 def _verify(a: SpatialMatrix, w: TransformWitness, target: SpatialMatrix, stage: str):
     """Raise WitnessError unless w carries a onto target (python -O keeps this)."""
     if apply_transform(a, w) != target:
@@ -312,21 +316,22 @@ def theorem1_form(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness]:
     so when none works no invertible mix exists at all and FieldTooSmallError
     reports the blocking form.
     """
-    cs, w = _theorem1(a)
+    cs, factors = _theorem1(a)
+    w = TransformWitness(*factors)
     _verify(a, w, cs.tensor(), "theorem-1")
     return cs, w
 
 
-def _theorem1(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness]:
-    """theorem1_form without the final witness check, for callers that
-    check the witness they return themselves."""
+def _theorem1(a: SpatialMatrix) -> tuple[CanonicalSum, Factors]:
+    """theorem1_form without the final witness check: the form and the
+    witness factors, for callers that check the witness they return."""
     if a.q != 2:
         raise WrongSliceCountError(f"needs exactly 2 slices, got {a.q}")
     fld = a.fld
     form0, pw0 = kronecker_form(a.slices[0], a.slices[1])
     if not form0.inf:
-        w0 = TransformWitness(pw0.r, pw0.s, Matrix.identity(fld, 2))
-        return CanonicalSum(fld, form0.right, form0.left, form0.finite), w0
+        return CanonicalSum(fld, form0.right, form0.left, form0.finite), (
+            pw0.r, pw0.s, Matrix.identity(fld, 2))
 
     if all(f.coeff(0) != 0 for f in form0.finite):
         # no divisor vanishes at 0, so swapping the slices keeps everything finite
@@ -353,22 +358,10 @@ def _theorem1(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness]:
     assert form1.right == form0.right and form1.left == form0.left
     cs = CanonicalSum(fld, form1.right, form1.left, form1.finite)
     # reduce, mix the slices, reduce again: one witness from the products
-    return cs, TransformWitness(pw0.r @ pw1.r, pw0.s @ pw1.s, _t_matrix(mix))
+    return cs, (pw0.r @ pw1.r, pw0.s @ pw1.s, _t_matrix(mix))
 
 
 _PGL2_CACHE: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
-
-
-def _pgl2_mixes(p: int):
-    """The members of pgl2_reps, generated lazily in the same order."""
-    for c in range(1, p):
-        for d in range(p):
-            yield 0, 1, c, d
-    for b in range(p):
-        for c in range(p):
-            for d in range(p):
-                if (d - b * c) % p:
-                    yield 1, b, c, d
 
 
 def pgl2_reps(fld: PrimeField) -> tuple[tuple[int, int, int, int], ...]:
@@ -376,7 +369,10 @@ def pgl2_reps(fld: PrimeField) -> tuple[tuple[int, int, int, int], ...]:
     coordinate normalized to 1, in lexicographic order."""
     p = fld.p
     if p not in _PGL2_CACHE:
-        _PGL2_CACHE[p] = tuple(_pgl2_mixes(p))
+        _PGL2_CACHE[p] = tuple(chain(
+            ((0, 1, c, d) for c in range(1, p) for d in range(p)),
+            ((1, b, c, d) for b in range(p) for c in range(p) for d in range(p) if (d - b * c) % p),
+        ))
     return _PGL2_CACHE[p]
 
 
@@ -405,22 +401,19 @@ def _anchors(finite: tuple[Poly, ...]) -> set[int]:
     return out
 
 
-def _anchored_mixes(anchors: set[int], p: int):
-    """The members of pgl2_reps that send some anchor to 0, generated lazily
-    in the same order.
+def _base_mixes(anchors: set[int], p: int):
+    """One base mix (a, b, c0, d0) per line {(a, b, l c0, l d0) : l != 0} of
+    the candidate mixes, lazily, in pgl2_reps order of (a, b).
 
-    The mix (a, b, c, d) sends r to (d*r + c)/(b*r + a): to 0 when c = -d*r and
-    b*r + a != 0 (then d != 0, the mix being invertible); p (p - 1) mixes for
-    each anchor.  For each (a, b), c = 0 takes every d from the anchor 0, and
-    each c != 0 takes d = -c/r from every anchor r != 0."""
+    With anchors, the line of (a, b, -r, 1) holds the p - 1 mixes sending the
+    anchor r to 0 (when b*r + a != 0; see _anchors).  Without, the lines of
+    (a, b, 0, 1) and (a, b, 1, d) hold every invertible mix."""
+    lines = [(0, 1)] + [(1, d) for d in range(p)]
     for a, b in chain([(0, 1)], ((1, b) for b in range(p))):
-        live = [r for r in anchors if (b * r + a) % p]
-        neg_inv = [-pow(r, -1, p) % p for r in live if r]
-        if 0 in live:
-            yield from ((a, b, 0, d) for d in range(1, p))
-        for c in range(1, p):
-            for d in sorted(c * x % p for x in neg_inv):
-                yield a, b, c, d
+        if anchors:
+            yield from ((a, b, -r % p, 1) for r in sorted(anchors) if (b * r + a) % p)
+        else:
+            yield from ((a, b, c0, d0) for c0, d0 in lines if (a * d0 - b * c0) % p)
 
 
 def _image_keys(group, quad, p: int) -> list[tuple[int, ...]] | None:
@@ -435,6 +428,35 @@ def _image_keys(group, quad, p: int) -> list[tuple[int, ...]] | None:
     return sorted(keys)
 
 
+def _least_scaling(key, lams, pw, p: int):
+    """The scalings l in lams whose scaled key (entry i times l**(i + 1),
+    pw[i][l]) is least, filtered entry by entry, and that key."""
+    for i, k in enumerate(key):
+        if k and len(lams) > 1:
+            if i == 0 and len(lams) == p - 1:
+                lams = [pow(k, -1, p)]  # k*l runs over all of GF(p)*: least is 1
+            else:
+                vals = [k * pw[i][lam] % p for lam in lams]
+                low = min(vals)
+                lams = [lam for lam, v in zip(lams, vals) if v == low]
+    return lams, tuple(k * pw[i][lams[0]] % p for i, k in enumerate(key))
+
+
+def _least_group(keys, lams, pw, p: int):
+    """The scalings in lams whose scaled, sorted group keys are least, and
+    those keys.  The least first key comes from some divisor's own least
+    scalings, so only their union is sorted in full."""
+    least = [_least_scaling(key, lams, pw, p) for key in keys]
+    low = min(key for _, key in least)
+    if len(keys) == 1:
+        return least[0][0], [low]
+    lams = sorted({lam for ls, key in least if key == low for lam in ls})
+    scaled = [sorted(tuple(k * pw[i][lam] % p for i, k in enumerate(key)) for key in keys)
+              for lam in lams]
+    low = min(scaled)
+    return [lam for lam, s in zip(lams, scaled) if s == low], low
+
+
 def mobius_orbit_minimize(cs: CanonicalSum) -> tuple[CanonicalSum, Mobius2x2]:
     """Least label in the slice-mix orbit of cs and the mix reaching it: the
     identity when cs is least, else the first such mix in pgl2_reps order.
@@ -442,10 +464,14 @@ def mobius_orbit_minimize(cs: CanonicalSum) -> tuple[CanonicalSum, Mobius2x2]:
     Mixes keep divisor degrees; inadmissible ones (driving one down) are
     skipped.  With anchors (see _anchors) the least label starts with
     x**l, reached only by mixes sending an anchor to 0 (the translation
-    x -> x - r is one): O(k p^2) substitutions for k anchors, and all p^3 - p
-    mixes with none.  A candidate is dropped as soon as its least-degree images
-    sort above the best label's.  Minimizing is idempotent because the
-    admissible-mix relation between labels is symmetric and transitive.
+    x -> x - r is one): k p (p - 1) candidates for k anchors, all p^3 - p
+    with none.  They are scanned a line at a time (see _base_mixes): scaling
+    (c, d) by l scales every image root by l, so key entry i by l**(i + 1),
+    and admissibility depends on (a, b) alone.  So one substitution per
+    divisor and line serves all p - 1 mixes on it: O(k p) substitutions with
+    anchors, O(p^2) without.  A line is dropped as soon as the degree groups
+    seen so far sort above the best label's.  Minimizing is idempotent because
+    the admissible-mix relation between labels is symmetric and transitive.
     """
     fld, p = cs.fld, cs.fld.p
     if not cs.finite:
@@ -459,13 +485,25 @@ def mobius_orbit_minimize(cs: CanonicalSum) -> tuple[CanonicalSum, Mobius2x2]:
         raise BudgetExceededError(
             f"orbit minimization would scan {count} slice mixes, over the budget of {ORBIT_SCAN_BUDGET}"
         )
-    for quad in _anchored_mixes(anchors, p) if anchors else _pgl2_mixes(p):
-        first = _image_keys(groups[0], quad, p)
-        if first is None or first > best[0]:
+    pw = [[pow(lam, i, p) for lam in range(p)] for i in range(1, cs.finite[-1].degree + 1)]
+    blocked = None
+    for a, b, c0, d0 in _base_mixes(anchors, p):
+        if (a, b) == blocked:
             continue
-        cand = [first] + [_image_keys(g, quad, p) for g in groups[1:]]
-        if None not in cand and cand < best:
-            best, best_quad = cand, quad
+        lams, cand = range(1, p), []
+        for g in groups:
+            keys = _image_keys(g, (a, b, c0, d0), p)
+            if keys is None:
+                blocked = (a, b)
+                break
+            lams, low = _least_group(keys, lams, pw, p)
+            cand.append(low)
+            if cand > best[: len(cand)]:
+                break
+        else:
+            quad = min((a, b, lam * c0 % p, lam * d0 % p) for lam in lams)
+            if cand < best or (cand == best and best_quad and quad < best_quad):
+                best, best_quad = cand, quad
     if best_quad is None:
         return cs, Mobius2x2.from_ints(fld, 1, 0, 0, 1)
     t = Mobius2x2.from_ints(fld, *best_quad)
@@ -557,23 +595,23 @@ def canonical_label(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness]:
     Two m x n x 2 tensors are equivalent exactly when their labels are
     equal, and apply_transform(a, witness) reproduces label.tensor().
     """
-    cs, w, stage = _canonical_label(a)
+    cs, factors, stage = _canonical_label(a)
+    w = TransformWitness(*factors)
     _verify(a, w, cs.tensor(), stage)
     return cs, w
 
 
-def _canonical_label(a: SpatialMatrix) -> tuple[CanonicalSum, TransformWitness, str]:
+def _canonical_label(a: SpatialMatrix) -> tuple[CanonicalSum, Factors, str]:
     """canonical_label without the witness check: the label, its witness
-    and the name of the stage that built the witness."""
-    cs0, w0 = _theorem1(a)
+    factors and the name of the stage that built them."""
+    cs0, (r0, s0, t0) = _theorem1(a)
     csm, t = mobius_orbit_minimize(cs0)
     if t.as_ints() == (1, 0, 0, 1):
         assert csm == cs0
-        return cs0, w0, "theorem-1"
-    # w0, then the slice mix t, then the block fix-up
+        return cs0, (r0, s0, t0), "theorem-1"
+    # the theorem-1 witness, then the slice mix t, then the block fix-up
     fix_r, fix_s = _mix_restore(cs0, t, csm)
-    w = TransformWitness(w0.r @ fix_r, w0.s @ fix_s, w0.t @ _t_matrix(t))
-    return csm, w, "canonicalization"
+    return csm, (r0 @ fix_r, s0 @ fix_s, t0 @ _t_matrix(t)), "canonicalization"
 
 
 # -- regular part ----------------------------------------------------------------
@@ -612,7 +650,8 @@ def regular_part(a: SpatialMatrix) -> tuple[SpatialMatrix, TransformWitness]:
     move all content into a leading m' x n' x q' corner that is regular;
     the returned witness maps the input onto the zero-padded corner.
     """
-    corner, w, padded = _regular_part(a)
+    corner, factors, padded = _regular_part(a)
+    w = TransformWitness(*factors)
     _verify(a, w, padded, "regular_part")
     m, n, q = a.dims
     m2, n2, q2 = corner.dims
@@ -625,11 +664,10 @@ def regular_part(a: SpatialMatrix) -> tuple[SpatialMatrix, TransformWitness]:
     return corner, w
 
 
-def _regular_part(
-    a: SpatialMatrix,
-) -> tuple[SpatialMatrix, TransformWitness, SpatialMatrix]:
-    """regular_part without the witness check: the corner, the witness and
-    the zero-padded corner that the witness reaches."""
+def _regular_part(a: SpatialMatrix) -> tuple[SpatialMatrix, Factors, SpatialMatrix]:
+    """regular_part without the witness check: the corner, the witness
+    factors (rref row-operation records) and the zero-padded corner that
+    the witness reaches."""
     fld = a.fld
     m, n, q = a.dims
     mixed, e_t, q2 = rref(_unfold(a, 2))
@@ -644,7 +682,7 @@ def _regular_part(
     corner = SpatialMatrix(
         fld, [c.submatrix(0, m2, 0, n2) for c in padded.slices[:q2]], m2, n2
     )
-    return corner, TransformWitness(e_r.transpose(), s_mat, e_t.transpose()), padded
+    return corner, (e_r.transpose(), s_mat, e_t.transpose()), padded
 
 
 def _pad(mat: Matrix, d: int) -> Matrix:
@@ -741,7 +779,7 @@ def theorem2_catalog(fld: PrimeField) -> list[RegularClass22]:
         if label not in seen:
             seen.add(label)
             out.append(cls)
-            labels[cls] = _label_entry(label, w)
+            labels[cls] = _label_entry(label, (w.r, w.s, w.t))
     if fld.p == 2:
         for v in range(2):
             cls = RegularClass22("B", fld, v)
@@ -749,7 +787,7 @@ def theorem2_catalog(fld: PrimeField) -> list[RegularClass22]:
             assert label not in seen, "B labels must not collide with A"
             seen.add(label)
             out.append(cls)
-            labels[cls] = _label_entry(label, w)
+            labels[cls] = _label_entry(label, (w.r, w.s, w.t))
     out.append(RegularClass22("C3x2x2_s2", fld))
     out.append(RegularClass22("C3x2x2_s3", fld))
     out.append(RegularClass22("C4x2x2", fld))
@@ -757,8 +795,8 @@ def theorem2_catalog(fld: PrimeField) -> list[RegularClass22]:
     return out
 
 
-def _label_entry(label: CanonicalSum, w: TransformWitness) -> tuple:
-    return label, inverse(w.r), inverse(w.s), inverse(w.t)
+def _label_entry(label: CanonicalSum, factors: Factors) -> tuple:
+    return label, tuple(inverse(x) for x in factors)
 
 
 def classify_regular(a: SpatialMatrix) -> tuple[RegularClass22, TransformWitness]:
@@ -796,7 +834,7 @@ def classify_regular(a: SpatialMatrix) -> tuple[RegularClass22, TransformWitness
         _verify(a, w, cls.representative(), "classification")
         return cls, w
 
-    label, w_a, _ = _canonical_label(a)
+    label, fa, _ = _canonical_label(a)
     catalog = theorem2_catalog(fld)
     labels = _CATALOG_CACHE[fld.p][1]
     for cls in catalog:
@@ -804,12 +842,12 @@ def classify_regular(a: SpatialMatrix) -> tuple[RegularClass22, TransformWitness
         if rep.dims != a.dims:
             continue
         if cls not in labels:
-            rep_label, w_rep, _ = _canonical_label(rep)
-            labels[cls] = _label_entry(rep_label, w_rep)
-        rep_label, r_inv, s_inv, t_inv = labels[cls]
+            rep_label, f_rep, _ = _canonical_label(rep)
+            labels[cls] = _label_entry(rep_label, f_rep)
+        rep_label, inverses = labels[cls]
         if rep_label == label:
             # a -> label tensor <- rep, checked once as one witness
-            w = TransformWitness(w_a.r @ r_inv, w_a.s @ s_inv, w_a.t @ t_inv)
+            w = TransformWitness(*(x @ y for x, y in zip(fa, inverses)))
             _verify(a, w, rep, "classification")
             return cls, w
     raise AssertionError("catalog must cover every regular tensor of these shapes")
@@ -835,11 +873,11 @@ def equivalent(
     if a.dims != b.dims:
         raise DimensionMismatchError(f"tensors sized {a.dims} vs {b.dims}")
     fld = a.fld
-    ca, wa, pa = _regular_part(a)
-    cb, wb, pb = _regular_part(b)
+    ca, fa, pa = _regular_part(a)
+    cb, fb, pb = _regular_part(b)
     if ca.dims != cb.dims:
-        _verify(a, wa, pa, "regular_part")
-        _verify(b, wb, pb, "regular_part")
+        _verify(a, TransformWitness(*fa), pa, "regular_part")
+        _verify(b, TransformWitness(*fb), pb, "regular_part")
         return False, None
     q2 = ca.dims[2]
     if q2 > 2:
@@ -857,23 +895,20 @@ def equivalent(
             for c in (ca, cb)
         )
     else:
-        la, wla, stage_a = _canonical_label(ca)
-        lb, wlb, stage_b = _canonical_label(cb)
+        la, ka, stage_a = _canonical_label(ca)
+        lb, kb, stage_b = _canonical_label(cb)
         if la != lb:
-            _verify(a, wa, pa, "regular_part")
-            _verify(b, wb, pb, "regular_part")
-            _verify(ca, wla, la.tensor(), stage_a)
-            _verify(cb, wlb, lb.tensor(), stage_b)
+            _verify(a, TransformWitness(*fa), pa, "regular_part")
+            _verify(b, TransformWitness(*fb), pb, "regular_part")
+            _verify(ca, TransformWitness(*ka), la.tensor(), stage_a)
+            _verify(cb, TransformWitness(*kb), lb.tensor(), stage_b)
             return False, None
-        ka, kb = (wla.r, wla.s, wla.t), (wlb.r, wlb.s, wlb.t)
 
     # a -> padded corner -> normal form <- padded corner <- b, as products
     w = TransformWitness(
         *(
             xa @ _pad(ya, d) @ inverse(xb @ _pad(yb, d))
-            for xa, ya, xb, yb, d in zip(
-                (wa.r, wa.s, wa.t), ka, (wb.r, wb.s, wb.t), kb, a.dims
-            )
+            for xa, ya, xb, yb, d in zip(fa, ka, fb, kb, a.dims)
         )
     )
     _verify(a, w, b, "equivalence")

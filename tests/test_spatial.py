@@ -322,21 +322,92 @@ def test_no_anchor_scan_is_lazy(monkeypatch):
     assert spatial._PGL2_CACHE == {}
 
 
-def test_anchored_mixes_are_lazy_and_in_order():
+def test_base_mixes_cover_the_candidates_lazily():
+    # each base (a, b, c0, d0) stands for the p - 1 mixes (a, b, l c0, l d0)
     p, anchors = 211, {0, 5, 200}
     pairs = [(0, 1)] + [(1, b) for b in range(p)]
     old = sorted((a, b, -d * r % p, d) for r in anchors for d in range(1, p)
                  for a, b in pairs if (b * r + a) % p)
     assert len(old) == len(anchors) * p * (p - 1)
+    index = {quad: i for i, quad in enumerate(old)}
+    hits = bytearray(len(old))
 
     def consume():
-        n = 0
-        for got, want in zip(spatial._anchored_mixes(anchors, p), old):
-            assert got == want
-            n += 1
-        assert n == len(old)
+        last = (0, 0)
+        for a, b, c0, d0 in spatial._base_mixes(anchors, p):
+            assert (a, b) >= last  # pgl2_reps order of (a, b)
+            last = (a, b)
+            for lam in range(1, p):
+                hits[index[(a, b, lam * c0 % p, lam * d0 % p)]] += 1
 
     assert _peak_bytes(consume) < 2**19
+    assert set(hits) == {1}
+    for p in (2, 3, 5, 7, 11, 13):
+        got = sorted((a, b, lam * c0 % p, lam * d0 % p)
+                     for a, b, c0, d0 in spatial._base_mixes(set(), p) for lam in range(1, p))
+        assert got == list(pgl2_reps(PrimeField(p)))
+
+
+def _irreducible(fld, degree):
+    return next(f for f in (Poly(fld, cs + (1,)) for cs in itertools.product(range(fld.p), repeat=degree))
+                if all(f.evaluate(r) for r in range(fld.p)))
+
+
+def test_orbit_scan_makes_one_substitution_per_divisor_and_base(monkeypatch):
+    # the identity's images, then at most one per divisor and base: p + 1
+    # bases for one anchor, p (p + 1) with none (the full scan made 20,202
+    # and 29,831)
+    calls = []
+    image = spatial.mobius_image
+    monkeypatch.setattr(spatial, "mobius_image", lambda *args: calls.append(1) or image(*args))
+    for p, degrees, bound in ((101, (1, 2), 2 * 102 + 2), (31, (2, 3), 2 * 31 * 32 + 2)):
+        fld = PrimeField(p)
+        finite = tuple(Poly(fld, (3, 1)) if d == 1 else _irreducible(fld, d) for d in degrees)
+        calls.clear()
+        mobius_orbit_minimize(CanonicalSum(fld, (), (), finite))
+        assert 0 < len(calls) <= bound, (p, len(calls))
+
+
+def test_orbit_minimize_matches_full_scan_at_p17():
+    rng = random.Random(19)
+    fld = PrimeField(17)
+    no_anchor = 0
+    for finite in _divisor_tuples(rng, fld, 24):
+        cs = CanonicalSum(fld, (), (), finite)
+        no_anchor += not spatial._anchors(cs.finite)
+        got, t = mobius_orbit_minimize(cs)
+        want, t_want = _full_scan(cs)
+        assert got == want, finite
+        assert t.as_ints() == t_want.as_ints(), finite
+    assert no_anchor >= 6, no_anchor
+
+
+def test_orbit_minimize_is_invariant_beyond_the_referee():
+    # at primes where the full scan is too slow to referee: a tuple and
+    # its image under an admissible mix share one least label, and that
+    # label is its own least, reached by the identity
+    rng = random.Random(20)
+    for i in range(40):
+        fld = PrimeField((19, 23, 29)[i % 3])
+        p = fld.p
+        if i % 2:
+            finite = tuple(_rand_prime_power(rng, fld, (2, 3)) for _ in range(rng.randrange(1, 4)))
+        else:
+            finite = (Poly(fld, (rng.randrange(p), 1)),) + tuple(
+                _rand_prime_power(rng, fld) for _ in range(rng.randrange(3)))
+        cs = CanonicalSum(fld, (), (), finite)
+        assert bool(spatial._anchors(cs.finite)) == (i % 2 == 0)
+        while True:
+            quad = tuple(rng.randrange(p) for _ in range(4))
+            a, b, c, d = quad
+            if (a * d - b * c) % p and all(spatial.mobius_image(f.coeffs, *quad, p) for f in finite):
+                break
+        t = Mobius2x2.from_ints(fld, *quad)
+        moved = CanonicalSum(fld, (), (), tuple(mobius_transform(f, t) for f in finite))
+        least, _ = mobius_orbit_minimize(cs)
+        assert mobius_orbit_minimize(moved)[0] == least, finite
+        again, t_again = mobius_orbit_minimize(least)
+        assert again == least and t_again.as_ints() == (1, 0, 0, 1), finite
 
 
 def test_canonical_label_large_field_with_linear_divisor():
@@ -462,6 +533,27 @@ def test_equivalent_checks_each_witness_it_rests_on_once(monkeypatch):
         assert ok is answer and len(calls) == checks, (answer, len(calls))
         assert w is None or apply_transform(x, w) == y
         calls.clear()
+
+
+def test_only_returned_witnesses_are_ranked(monkeypatch):
+    # intermediate witness factors are invertible by construction; only the
+    # returned witness's three factors are ranked
+    calls = []
+    invertible = spatial.is_invertible
+    monkeypatch.setattr(spatial, "is_invertible", lambda m: calls.append(1) or invertible(m))
+    rng = random.Random(17)
+    mixed = 0
+    for _ in range(5):
+        a = rand_tensor(rng, F5, 3, 3, 2)
+        b = apply_transform(a, rand_witness(rng, F5, 3, 3, 2))
+        calls.clear()
+        ok, w = equivalent(a, b)
+        assert ok and len(calls) == 3
+        calls.clear()
+        label, w = canonical_label(a)
+        assert len(calls) == 3
+        mixed += spatial._theorem1(a)[0] != label
+    assert mixed >= 3
 
 
 def test_equivalent_checks_regular_part_witnesses_under_python_O(tmp_path):
