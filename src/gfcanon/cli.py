@@ -54,7 +54,9 @@ def _load_doc(source: str) -> dict:
             return json.loads(source)
         with open(source, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers malformed JSON, invalid UTF-8 and integers past
+    # CPython's int-string digit limit; RecursionError, nesting too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read JSON from {source!r}: {exc}") from exc
 
 

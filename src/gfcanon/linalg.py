@@ -586,19 +586,21 @@ class SpanTracker:
 def complete_basis_cols(field: PrimeField, cols: list, dim: int) -> Matrix:
     """A dim x dim invertible matrix whose leading columns are the given
     independent vectors, padded greedily with unit vectors."""
+    p = field.p
     tracker = SpanTracker(field, dim)
     basis = []
     for c in cols:
+        c = [int(x) % p for x in c]
         if not tracker.add(c):
             raise SingularMatrixError("completion given dependent columns")
-        basis.append(list(c))
+        basis.append(c)
     for i in range(dim):
         e = [0] * dim
         e[i] = 1
         if tracker.add(e):
             basis.append(e)
     assert len(basis) == dim
-    return Matrix.from_cols(field, basis, dim)
+    return Matrix._trusted(field, tuple(zip(*basis)), dim)
 
 
 def mobius_charpoly_check(chi: Poly, t: Mobius2x2) -> Poly:

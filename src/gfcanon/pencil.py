@@ -186,6 +186,9 @@ def frobenius_form(mat: Matrix) -> tuple[list[Poly], Matrix]:
         return [], Matrix.identity(fld, 0)
 
     p = fld.p
+    if n == 1:
+        # [a] is the companion block of x - a
+        return [Poly(fld, (-mat.rows[0][0], 1))], Matrix.identity(fld, 1)
     factors = factor_prime_powers(char_poly(mat))
     evaluate = poly_evaluator(mat, max(pf.base.degree for pf in factors))
 
@@ -201,6 +204,11 @@ def frobenius_form(mat: Matrix) -> tuple[list[Poly], Matrix]:
         pi, mult = pf.base, pf.exp
         d = pi.degree
         b = evaluate(pi.coeffs)
+        if mult == 1:
+            # ker pi(M) is the whole primary component, of dimension d, so
+            # the loop below would keep the chain of its first basis vector
+            heads.append((pi, krylov(kernel_basis(b).col(0), d)))
+            continue
         # kernel filtration of the primary component; kernels[0] is ker I = 0
         power = b
         kernels = [(), kernel_basis(b).transpose().rows]
@@ -282,15 +290,11 @@ def _right_reduction(b1: Matrix, b2: Matrix, eps: int, us: list[list[int]]):
     """Local (P, Q) splitting off one right-singular block of index eps, and
     the remainder (D1, D2) that P (B) Q leaves below and right of the block."""
     fld = b1.field
+    p = fld.p
     m, n = b1.shape
-    q_cols = []
-    for j in range(eps + 1):
-        sgn = 1 if j % 2 == 0 else fld.p - 1
-        q_cols.append([(sgn * x) % fld.p for x in us[eps - j]])
+    q_cols = [[(-x if j % 2 else x) % p for x in us[eps - j]] for j in range(eps + 1)]
     q0 = complete_basis_cols(fld, q_cols, n)
-    w_cols = [
-        (b1 @ Matrix.from_cols(fld, [q_cols[j]], m=n)).col(0) for j in range(eps)
-    ]
+    w_cols = [[sum(map(mul, r, c)) % p for r in b1.rows] for c in q_cols[:eps]]
     w = complete_basis_cols(fld, w_cols, m)
     p0 = inverse(w)
     c1 = p0 @ b1 @ q0
@@ -302,36 +306,34 @@ def _right_reduction(b1: Matrix, b2: Matrix, eps: int, us: list[list[int]]):
     assert c1.submatrix(eps, m, 0, eps + 1).is_zero()
     assert c2.submatrix(eps, m, 0, eps + 1).is_zero()
 
-    # kill the coupling blocks: F Z + Y D1 = -C1, G Z + Y D2 = -C2
+    # kill the coupling blocks: F Z + Y D1 = -C1, G Z + Y D2 = -C2 with
+    # F = [I 0] and G = [0 I], so equation (i, j) reads Z[i + shift][j] +
+    # Y[i] . D_k[:, j] = -C_k[i][j], with shift 0 for F and 1 for G
     nc = n - eps - 1
     mr = m - eps
-    top1 = c1.submatrix(0, eps, eps + 1, n)
-    top2 = c2.submatrix(0, eps, eps + 1, n)
     d1 = c1.submatrix(eps, m, eps + 1, n)
     d2 = c2.submatrix(eps, m, eps + 1, n)
     nz = (eps + 1) * nc
     ny = eps * mr
     sys_rows = []
     rhs = []
-    for fmat, dmat, cmat in ((f1, d1, top1), (f2, d2, top2)):
+    for shift, cmat, dmat in ((0, c1, d1), (1, c2, d2)):
+        d_cols = dmat.transpose().rows
         for i in range(eps):
+            c_row = cmat.rows[i]
             for j in range(nc):
                 row = [0] * (nz + ny)
-                for k in range(eps + 1):
-                    if fmat.at(i, k):
-                        row[k * nc + j] = fmat.at(i, k)
-                for t in range(mr):
-                    if dmat.at(t, j):
-                        row[nz + i * mr + t] = dmat.at(t, j)
-                sys_rows.append(row)
-                rhs.append([-cmat.at(i, j) % fld.p])
+                row[(i + shift) * nc + j] = 1
+                row[nz + i * mr : nz + (i + 1) * mr] = d_cols[j]
+                sys_rows.append(tuple(row))
+                rhs.append((-c_row[eps + 1 + j] % p,))
     sol = solve_right(
-        Matrix(fld, sys_rows, nz + ny), Matrix(fld, rhs, 1)
+        Matrix._trusted(fld, tuple(sys_rows), nz + ny), Matrix._trusted(fld, tuple(rhs), 1)
     )
     assert sol is not None, "coupling solve must succeed at the minimal index"
     flat = sol.col(0)
-    z = Matrix(fld, [[flat[k * nc + j] for j in range(nc)] for k in range(eps + 1)], nc)
-    y = Matrix(fld, [[flat[nz + i * mr + t] for t in range(mr)] for i in range(eps)], mr)
+    z = Matrix._trusted(fld, tuple(flat[k * nc : (k + 1) * nc] for k in range(eps + 1)), nc)
+    y = Matrix._trusted(fld, tuple(flat[nz + i * mr : nz + (i + 1) * mr] for i in range(eps)), mr)
     # [[I, Y], [0, I]] @ p0 and q0 @ [[I, Z], [0, I]], as block updates
     p_low = p0.submatrix(eps, m, 0, m)
     q_left = q0.submatrix(0, n, 0, eps + 1)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, groupby
+from operator import mul
 
 from .errors import (
     BudgetExceededError,
@@ -174,7 +175,9 @@ class TransformWitness:
 
 
 def apply_transform(a: SpatialMatrix, w: TransformWitness) -> SpatialMatrix:
-    """Reference contraction, written out literally."""
+    """The contraction sum a[i][j][k] r[i][i'] s[j][j'] t[k][k'], by factors:
+    mix the slices by T, then R^T M S on int rows.  O(q^2 mn + q(m^2 n + mn^2))
+    where the literal sum costs O(q^2 m^2 n^2)."""
     a.fld.require_same(w.r.field)
     if (w.r.m, w.s.m, w.t.m) != a.dims:
         raise DimensionMismatchError(
@@ -182,29 +185,17 @@ def apply_transform(a: SpatialMatrix, w: TransformWitness) -> SpatialMatrix:
         )
     p = a.fld.p
     m, n, q = a.dims
-    r, s, t = w.r.rows, w.s.rows, w.t.rows
+    s_cols = w.s.transpose().rows
+    r_cols = w.r.transpose().rows
+    # cells[i][j] lists entry (i, j) of every slice
+    cells = [list(zip(*(sl.rows[i] for sl in a.slices))) for i in range(m)]
     out = []
-    for k2 in range(q):
-        rows = []
-        for i2 in range(m):
-            row = []
-            for j2 in range(n):
-                acc = 0
-                for k in range(q):
-                    tkk = t[k][k2]
-                    if not tkk:
-                        continue
-                    ak = a.slices[k].rows
-                    for i in range(m):
-                        rii = r[i][i2]
-                        if not rii:
-                            continue
-                        aki = ak[i]
-                        for j in range(n):
-                            acc += aki[j] * rii * s[j][j2] * tkk
-                row.append(acc % p)
-            rows.append(tuple(row))
-        out.append(Matrix._trusted(a.fld, tuple(rows), n))
+    for t_col in w.t.transpose().rows:
+        # slice k' is R^T M S with M = sum_k t[k][k'] a_k
+        mixed = [[sum(map(mul, t_col, cell)) for cell in row] for row in cells]
+        ms_cols = tuple(zip(*([sum(map(mul, row, c)) % p for c in s_cols] for row in mixed)))
+        rows = tuple(tuple(sum(map(mul, r_col, c)) % p for c in ms_cols) for r_col in r_cols)
+        out.append(Matrix._trusted(a.fld, rows, n))
     return SpatialMatrix(a.fld, out, m, n)
 
 
@@ -416,11 +407,15 @@ def _base_mixes(anchors: set[int], p: int):
             yield from ((a, b, c0, d0) for c0, d0 in lines if (a * d0 - b * c0) % p)
 
 
-def _image_keys(group, quad, p: int) -> list[tuple[int, ...]] | None:
+def _image_keys(group, quad, p: int, known=None) -> list[tuple[int, ...]] | None:
     """Sorted Poly.sort_key tails of the images of one degree group (ascending
-    coefficients) under quad; None if quad is inadmissible for one of them."""
+    coefficients) under quad; None if quad is inadmissible for one of them.
+    A divisor with the coefficients `known` is taken to x**l, key all zeros."""
     keys = []
     for coeffs in group:
+        if coeffs == known:
+            keys.append((0,) * (len(coeffs) - 1))
+            continue
         eta = mobius_image(coeffs, *quad, p)
         if eta is None:
             return None
@@ -468,10 +463,11 @@ def mobius_orbit_minimize(cs: CanonicalSum) -> tuple[CanonicalSum, Mobius2x2]:
     with none.  They are scanned a line at a time (see _base_mixes): scaling
     (c, d) by l scales every image root by l, so key entry i by l**(i + 1),
     and admissibility depends on (a, b) alone.  So one substitution per
-    divisor and line serves all p - 1 mixes on it: O(k p) substitutions with
-    anchors, O(p^2) without.  A line is dropped as soon as the degree groups
-    seen so far sort above the best label's.  Minimizing is idempotent because
-    the admissible-mix relation between labels is symmetric and transitive.
+    divisor and line serves all p - 1 mixes on it, and none for the anchor
+    divisor, whose image is x**l: O(k p) substitutions with anchors, O(p^2)
+    without.  A line is dropped as soon as the degree groups seen so far sort
+    above the best label's.  Minimizing is idempotent because the
+    admissible-mix relation between labels is symmetric and transitive.
     """
     fld, p = cs.fld, cs.fld.p
     if not cs.finite:
@@ -486,13 +482,17 @@ def mobius_orbit_minimize(cs: CanonicalSum) -> tuple[CanonicalSum, Mobius2x2]:
             f"orbit minimization would scan {count} slice mixes, over the budget of {ORBIT_SCAN_BUDGET}"
         )
     pw = [[pow(lam, i, p) for lam in range(p)] for i in range(1, cs.finite[-1].degree + 1)]
+    # the base (a, b, -r, 1) takes the anchor divisor (x - r)**l to x**l
+    l = cs.finite[0].degree
+    anchor_coeffs = {r: (Poly(fld, (-r, 1)) ** l).coeffs for r in anchors}
     blocked = None
     for a, b, c0, d0 in _base_mixes(anchors, p):
         if (a, b) == blocked:
             continue
         lams, cand = range(1, p), []
+        known = anchor_coeffs.get(-c0 % p)
         for g in groups:
-            keys = _image_keys(g, (a, b, c0, d0), p)
+            keys = _image_keys(g, (a, b, c0, d0), p, known)
             if keys is None:
                 blocked = (a, b)
                 break
@@ -554,38 +554,21 @@ def _mix_restore(
     r_fix = Matrix.block_diag(fld, r_blocks)
     s_fix = Matrix.block_diag(fld, s_blocks)
 
-    # permute the finite blocks into canonical order
+    # put the finite blocks into canonical order by reindexing the columns
     order = sorted(range(len(new_finite)), key=lambda i: new_finite[i].sort_key())
     assert tuple(new_finite[i] for i in order) == target.finite
     assert cs.right == target.right and cs.left == target.left
-    m_tot, n_tot = cs.kronecker().shape
     row_base = sum(r - 1 for r in cs.right) + sum(cs.left)
     col_base = sum(cs.right) + sum(s - 1 for s in cs.left)
-    old_row = []
-    old_col = []
-    acc_r, acc_c = row_base, col_base
+    starts = [0]
     for f in new_finite:
-        old_row.append(acc_r)
-        old_col.append(acc_c)
-        acc_r += f.degree
-        acc_c += f.degree
-    perm_r = [[0] * m_tot for _ in range(m_tot)]
-    perm_c = [[0] * n_tot for _ in range(n_tot)]
-    for i in range(row_base):
-        perm_r[i][i] = 1
-    for j in range(col_base):
-        perm_c[j][j] = 1
-    new_r, new_c = row_base, col_base
-    for old_idx in order:
-        d = new_finite[old_idx].degree
-        for tshift in range(d):
-            perm_r[new_r + tshift][old_row[old_idx] + tshift] = 1
-            perm_c[old_col[old_idx] + tshift][new_c + tshift] = 1
-        new_r += d
-        new_c += d
+        starts.append(starts[-1] + f.degree)
+    src = [starts[i] + k for i in order for k in range(new_finite[i].degree)]
+    r_src = list(range(row_base)) + [row_base + k for k in src]
+    s_src = list(range(col_base)) + [col_base + k for k in src]
     return (
-        r_fix @ Matrix(fld, perm_r, m_tot).transpose(),
-        s_fix @ Matrix(fld, perm_c, n_tot),
+        Matrix._trusted(fld, tuple(tuple(row[k] for k in r_src) for row in r_fix.rows), r_fix.n),
+        Matrix._trusted(fld, tuple(tuple(row[k] for k in s_src) for row in s_fix.rows), s_fix.n),
     )
 
 

@@ -145,16 +145,32 @@ def test_stdin_input(capsys, monkeypatch):
 # -- failure modes ------------------------------------------------------------
 
 
-def test_parse_errors_exit_1(capsys):
-    for args in (
+def test_parse_errors_exit_1(capsys, monkeypatch, tmp_path):
+    # invalid UTF-8, an integer past CPython's int-string digit limit, and
+    # arrays nested past the recursion limit, as a file, inline and on stdin
+    bad = {
+        "utf8": b'{"p": 5, "dims": [1, 1, 1], "slices": [[[\xff]]]}',
+        "digits": b'{"p": 5, "dims": [1, 1, 1], "slices": [[[' + b"7" * 5000 + b"]]]}",
+        "nesting": b"[" * 100_000 + b"]" * 100_000,
+    }
+    for name, raw in bad.items():
+        (tmp_path / name).write_bytes(raw)
+    cases = [
         ("canonicalize", "{broken"),
         ("canonicalize", "/no/such/file.json"),
         ("classify", A_GF5, "--p", "7"),
         ("orbit", "--p", "2", "--shape", "2x2"),
         ("no-such-verb",),
-    ):
+    ]
+    cases += [("canonicalize", str(tmp_path / name)) for name in bad]
+    cases += [("canonicalize", bad[name].decode()) for name in ("digits", "nesting")]
+    cases += [("canonicalize", "-", raw) for raw in bad.values()]
+    for args in cases:
+        if args[1:2] == ("-",):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(args[2]), encoding="utf-8"))
+            args = args[:2]
         code, out, err = run(capsys, *args)
-        assert code == 1, args
+        assert code == 1 and out == "", args[:2]
         assert json.loads(err)["error"]
 
 

@@ -182,8 +182,16 @@ def test_frobenius_matches_matrix_object_version():
         # non-cyclic: some prime carries two or more divisors
         primes = {factor_prime_powers(q)[0].base for q in divisors}
         kinds["non-cyclic"] = kinds.get("non-cyclic", 0) + (len(primes) < len(divisors))
+        # the paths frobenius_form takes: 1x1 inputs, then per prime factor
+        # of the characteristic polynomial, multiplicity 1 or more
+        kinds["1x1"] = kinds.get("1x1", 0) + (m.n == 1)
+        for pf in factor_prime_powers(char_poly(m)):
+            path = "multiplicity 1" if pf.exp == 1 else "multiplicity > 1"
+            kinds[path] = kinds.get(path, 0) + (m.n > 1)
     assert sum(kinds[k] for k in ("random", "blocks", "nilpotent", "sparse")) >= 400
     assert kinds["non-cyclic"] >= 100, kinds
+    assert kinds["1x1"] >= 30 and kinds["multiplicity 1"] >= 300, kinds
+    assert kinds["multiplicity > 1"] >= 250, kinds
 
 
 # -- pencil canonical form --------------------------------------------------------

@@ -70,6 +70,47 @@ def test_apply_transform_agrees_with_two_step():
         assert apply_transform(a, w) == two_step_realize(a, w)
 
 
+def _literal_apply(a, w):
+    """The contraction sum a[i][j][k] r[i][i'] s[j][j'] t[k][k'], written out
+    term by term: the referee of apply_transform's factored route."""
+    p = a.fld.p
+    m, n, q = a.dims
+    r, s, t = w.r.rows, w.s.rows, w.t.rows
+    out = []
+    for k2 in range(q):
+        rows = []
+        for i2 in range(m):
+            row = []
+            for j2 in range(n):
+                acc = 0
+                for k in range(q):
+                    for i in range(m):
+                        for j in range(n):
+                            acc += a.slices[k].rows[i][j] * r[i][i2] * s[j][j2] * t[k][k2]
+                row.append(acc % p)
+            rows.append(row)
+        out.append(Matrix(a.fld, rows, n))
+    return SpatialMatrix(a.fld, out, m, n)
+
+
+def test_apply_transform_matches_literal_sum():
+    rng = random.Random(5)
+    seen = set()
+    for case in range(150):
+        fld = (F2, F3, F5, PrimeField(101))[case % 4]
+        q = 1 + case % 3
+        m, n = rng.randrange(0, 5), rng.randrange(0, 5)
+        a = rand_tensor(rng, fld, m, n, q)
+        w = rand_witness(rng, fld, m, n, q)
+        got = apply_transform(a, w)
+        assert got == _literal_apply(a, w), (a.to_dict(), w.to_dict())
+        assert got.dims == (m, n, q)
+        seen.add((q, m == 0, n == 0))
+    assert {(q, m0, n0) for q in (1, 2, 3) for m0 in (False, True) for n0 in (False, True)} <= seen
+    empty = SpatialMatrix.zero(F3, 2, 3, 0)
+    assert apply_transform(empty, rand_witness(rng, F3, 2, 3, 0)) == empty
+
+
 def test_action_composition_and_inverse():
     rng = random.Random(2)
     for _ in range(100):
@@ -356,11 +397,12 @@ def _irreducible(fld, degree):
 def test_orbit_scan_makes_one_substitution_per_divisor_and_base(monkeypatch):
     # the identity's images, then at most one per divisor and base: p + 1
     # bases for one anchor, p (p + 1) with none (the full scan made 20,202
-    # and 29,831)
+    # and 29,831); none for the anchor divisor, which each anchored base
+    # takes to x**l (204 calls at p = 101 when it was substituted)
     calls = []
     image = spatial.mobius_image
     monkeypatch.setattr(spatial, "mobius_image", lambda *args: calls.append(1) or image(*args))
-    for p, degrees, bound in ((101, (1, 2), 2 * 102 + 2), (31, (2, 3), 2 * 31 * 32 + 2)):
+    for p, degrees, bound in ((101, (1, 2), 101 + 2), (31, (2, 3), 2 * 31 * 32 + 2)):
         fld = PrimeField(p)
         finite = tuple(Poly(fld, (3, 1)) if d == 1 else _irreducible(fld, d) for d in degrees)
         calls.clear()
