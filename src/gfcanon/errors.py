@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the integer check
+every document parser runs.
 
 Errors that indicate a violated precondition of an operation (as opposed to
 malformed input documents) all derive from PreconditionError so the CLI can
@@ -12,6 +13,16 @@ class GFCanonError(Exception):
 
 class ParseError(GFCanonError):
     """Malformed input document (bad JSON, bad schema, bad literal)."""
+
+
+def require_ints(values, what: str) -> list[int]:
+    """The values of a parsed document as a list, each a plain int: a float,
+    a bool or a numeric string is refused, never reduced mod p."""
+    out = list(values)
+    for x in out:
+        if type(x) is not int:
+            raise ParseError(f"{what} must be integers, got {x!r}")
+    return out
 
 
 class PreconditionError(GFCanonError):

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import mul
 
-from .errors import DimensionMismatchError, SingularMatrixError, WitnessError
+from .errors import (
+    DimensionMismatchError,
+    ParseError,
+    SingularMatrixError,
+    WitnessError,
+    require_ints,
+)
 from .field import PrimeField
 from .linalg import (
     Matrix,
@@ -135,14 +141,37 @@ class KroneckerForm:
 
     @staticmethod
     def from_dict(d: dict) -> "KroneckerForm":
-        fld = PrimeField(d["p"])
-        return KroneckerForm(
-            fld,
-            tuple(d.get("right", ())),
-            tuple(d.get("left", ())),
-            tuple(d.get("inf", ())),
-            tuple(Poly(fld, cs) for cs in d.get("finite", ())),
-        )
+        try:
+            fld = PrimeField(d["p"])
+            return KroneckerForm(
+                fld,
+                parse_indices(d.get("right", ()), "right indices"),
+                parse_indices(d.get("left", ()), "left indices"),
+                parse_indices(d.get("inf", ()), "inf sizes"),
+                parse_divisors(fld, d.get("finite", ())),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed Kronecker form: {exc}") from exc
+
+
+def parse_indices(values, what: str) -> tuple[int, ...]:
+    """Block indices of a parsed form or label document: plain ints, each at
+    least 1 (a right or left index counts the block's columns or rows plus
+    one, an inf size its rows)."""
+    out = tuple(require_ints(values, what))
+    if any(k < 1 for k in out):
+        raise ParseError(f"{what} must be at least 1, got {list(out)}")
+    return out
+
+
+def parse_divisors(fld: PrimeField, values) -> tuple[Poly, ...]:
+    """Finite divisors of a parsed form or label document: monic, of degree
+    at least 1."""
+    out = tuple(Poly(fld, require_ints(cs, "coefficients")) for cs in values)
+    for f in out:
+        if f.degree < 1 or not f.is_monic():
+            raise ParseError(f"divisors must be monic and non-constant, got {list(f.coeffs)}")
+    return out
 
 
 @dataclass(frozen=True)

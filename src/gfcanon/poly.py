@@ -22,7 +22,7 @@ from .errors import (
     ZeroInverseError,
     ZeroPolynomialError,
 )
-from .field import FieldElem, PrimeField
+from .field import PrimeField
 
 
 # -- coefficient-list core -----------------------------------------------------
@@ -401,34 +401,30 @@ def factor_prime_powers(
 
 @dataclass(frozen=True)
 class Mobius2x2:
-    """An invertible two-slice mix written as four scalars.
+    """An invertible two-slice mix written as four scalars, plain ints in
+    [0, p) (from_ints reduces them).
 
     As a matrix acting on the last axis it is [[a, c], [b, d]]: the new
     first slice is a*A1 + b*A2 and the new second is c*A1 + d*A2.
     """
 
-    a: FieldElem
-    b: FieldElem
-    c: FieldElem
-    d: FieldElem
+    field: PrimeField
+    a: int
+    b: int
+    c: int
+    d: int
 
     def __post_init__(self):
-        f = self.a.field
-        for v in (self.b, self.c, self.d):
-            f.require_same(v.field)
-        if (self.a * self.d - self.b * self.c).value == 0:
+        if (self.a * self.d - self.b * self.c) % self.field.p == 0:
             raise SingularMatrixError("slice mix must be invertible")
 
     @staticmethod
     def from_ints(field: PrimeField, a: int, b: int, c: int, d: int) -> "Mobius2x2":
-        return Mobius2x2(field(a), field(b), field(c), field(d))
-
-    @property
-    def field(self) -> PrimeField:
-        return self.a.field
+        p = field.p
+        return Mobius2x2(field, a % p, b % p, c % p, d % p)
 
     def as_ints(self) -> tuple[int, int, int, int]:
-        return (self.a.value, self.b.value, self.c.value, self.d.value)
+        return (self.a, self.b, self.c, self.d)
 
 
 def mobius_image(chi, a: int, b: int, c: int, d: int, p: int) -> list[int] | None:

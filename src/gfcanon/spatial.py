@@ -29,10 +29,11 @@ from .errors import (
     UnsupportedShapeError,
     WitnessError,
     WrongSliceCountError,
+    require_ints,
 )
 from .field import PrimeField
 from .linalg import Matrix, inverse, is_invertible, rank, rref
-from .pencil import KroneckerForm, frobenius_form, kronecker_form
+from .pencil import KroneckerForm, frobenius_form, kronecker_form, parse_divisors, parse_indices
 from .poly import Mobius2x2, Poly, mobius_image, mobius_transform
 
 
@@ -82,7 +83,7 @@ class SpatialMatrix:
     def from_dict(d: dict) -> "SpatialMatrix":
         try:
             fld = PrimeField(d["p"])
-            m, n, q = _ints(d["dims"], "dims")
+            m, n, q = require_ints(d["dims"], "dims")
             if min(m, n, q) < 0:
                 raise ParseError(f"dims must be non-negative, got {[m, n, q]}")
             raw = d["slices"]
@@ -92,7 +93,7 @@ class SpatialMatrix:
             for s in raw:
                 if len(s) != m or any(len(row) != n for row in s):
                     raise ParseError("slice shape disagrees with dims")
-                _ints(chain.from_iterable(s), "entries")
+                require_ints(chain.from_iterable(s), "entries")
                 slices.append(Matrix(fld, s, n))
             return SpatialMatrix(fld, slices, m, n)
         except (KeyError, TypeError, ValueError) as exc:
@@ -112,16 +113,6 @@ class SpatialMatrix:
 
     def __repr__(self):
         return f"SpatialMatrix(GF({self.fld.p}), {self.m}x{self.n}x{self.q})"
-
-
-def _ints(values, what: str) -> list[int]:
-    """The values of a parsed document as a list, each a plain int: a float,
-    a bool or a numeric string is refused, never reduced mod p."""
-    out = list(values)
-    for x in out:
-        if type(x) is not int:
-            raise ParseError(f"{what} must be integers, got {x!r}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -168,7 +159,7 @@ class TransformWitness:
             fld = PrimeField(d["p"])
             factors = [d[key] for key in "RST"]
             for rows in factors:
-                _ints(chain.from_iterable(rows), "witness entries")
+                require_ints(chain.from_iterable(rows), "witness entries")
             return TransformWitness(*(Matrix(fld, rows) for rows in factors))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed witness: {exc}") from exc
@@ -284,9 +275,9 @@ class CanonicalSum:
             fld = PrimeField(d["p"])
             return CanonicalSum(
                 fld,
-                tuple(_ints(d.get("right", ()), "indices")),
-                tuple(_ints(d.get("left", ()), "indices")),
-                tuple(Poly(fld, _ints(cs, "coefficients")) for cs in d.get("finite", ())),
+                parse_indices(d.get("right", ()), "right indices"),
+                parse_indices(d.get("left", ()), "left indices"),
+                parse_divisors(fld, d.get("finite", ())),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed canonical sum: {exc}") from exc
@@ -352,19 +343,14 @@ def _theorem1(a: SpatialMatrix) -> tuple[CanonicalSum, Factors]:
     return cs, (pw0.r @ pw1.r, pw0.s @ pw1.s, _t_matrix(mix))
 
 
-_PGL2_CACHE: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
-
-
 def pgl2_reps(fld: PrimeField) -> tuple[tuple[int, int, int, int], ...]:
     """The p^3 - p invertible slice mixes up to scalar, first nonzero
     coordinate normalized to 1, in lexicographic order."""
     p = fld.p
-    if p not in _PGL2_CACHE:
-        _PGL2_CACHE[p] = tuple(chain(
-            ((0, 1, c, d) for c in range(1, p) for d in range(p)),
-            ((1, b, c, d) for b in range(p) for c in range(p) for d in range(p) if (d - b * c) % p),
-        ))
-    return _PGL2_CACHE[p]
+    return tuple(chain(
+        ((0, 1, c, d) for c in range(1, p) for d in range(p)),
+        ((1, b, c, d) for b in range(p) for c in range(p) for d in range(p) if (d - b * c) % p),
+    ))
 
 
 # candidate mixes one orbit scan may try; the largest scan any test or
@@ -439,17 +425,23 @@ def _least_scaling(key, lams, pw, p: int):
 
 def _least_group(keys, lams, pw, p: int):
     """The scalings in lams whose scaled, sorted group keys are least, and
-    those keys.  The least first key comes from some divisor's own least
-    scalings, so only their union is sorted in full."""
+    those keys.  An all-zero key (the anchor divisor's) stays zero under every
+    scaling and sorts first, so it is set aside; of the rest, the least first
+    key comes from some divisor's own least scalings, so only their union is
+    sorted in full."""
+    zero = [key for key in keys if not any(key)]
+    keys = [key for key in keys if any(key)]
+    if not keys:
+        return lams, zero
     least = [_least_scaling(key, lams, pw, p) for key in keys]
     low = min(key for _, key in least)
     if len(keys) == 1:
-        return least[0][0], [low]
+        return least[0][0], zero + [low]
     lams = sorted({lam for ls, key in least if key == low for lam in ls})
     scaled = [sorted(tuple(k * pw[i][lam] % p for i, k in enumerate(key)) for key in keys)
               for lam in lams]
     low = min(scaled)
-    return [lam for lam, s in zip(lams, scaled) if s == low], low
+    return [lam for lam, s in zip(lams, scaled) if s == low], zero + low
 
 
 def mobius_orbit_minimize(cs: CanonicalSum) -> tuple[CanonicalSum, Mobius2x2]:
@@ -733,53 +725,34 @@ class RegularClass22:
         return d
 
 
-# per p: the catalog, and the canonical label and inverted witness factors
-# (R^-1, S^-1, T^-1) of each representative labelled so far
-_CATALOG_CACHE: dict[int, tuple[list[RegularClass22], dict[RegularClass22, tuple]]] = {}
-
-
 def theorem2_catalog(fld: PrimeField) -> list[RegularClass22]:
     """All classes of regular m x n x q tensors with n <= 2, q <= 2.
 
-    The two-parameter families are deduplicated by canonical label, keeping
-    the least parameter; for odd characteristic every trace can be shifted
-    away so only the A family survives, while over GF(2) the two B classes
-    are genuinely separate.
+    A regular 2 x 2 x 2 class is fixed by the root pattern of its divisor,
+    since slice mixes act on the roots by PGL_2, which is 3-transitive on
+    P^1(GF(p)) and transitive on P^1(GF(p^2)) minus P^1(GF(p)): a double
+    root, two roots in GF(p), or two conjugate roots.  For odd p, x^2 - v
+    has them at v = 0, 1 and the least non-residue n0 (Euler's criterion),
+    so the A family holds them all; over GF(2), x^2 - 1 = (x + 1)^2 and the
+    B family's x^2 - x and x^2 - x - 1 take the last two.  Nothing is
+    labelled here.
     """
-    if fld.p in _CATALOG_CACHE:
-        return _CATALOG_CACHE[fld.p][0]
-    labels: dict[RegularClass22, tuple] = {}
-    out = [
-        RegularClass22("C1x1x1", fld),
-        RegularClass22("C2x2x1", fld),
-        RegularClass22("C2x1x2", fld),
-        RegularClass22("C1x2x2", fld),
-    ]
-    seen: set = set()
-    for v in range(fld.p):
-        cls = RegularClass22("A", fld, v)
-        label, w = canonical_label(cls.representative())
-        if label not in seen:
-            seen.add(label)
-            out.append(cls)
-            labels[cls] = _label_entry(label, (w.r, w.s, w.t))
-    if fld.p == 2:
-        for v in range(2):
-            cls = RegularClass22("B", fld, v)
-            label, w = canonical_label(cls.representative())
-            assert label not in seen, "B labels must not collide with A"
-            seen.add(label)
-            out.append(cls)
-            labels[cls] = _label_entry(label, (w.r, w.s, w.t))
-    out.append(RegularClass22("C3x2x2_s2", fld))
-    out.append(RegularClass22("C3x2x2_s3", fld))
-    out.append(RegularClass22("C4x2x2", fld))
-    _CATALOG_CACHE[fld.p] = (out, labels)
-    return out
+    p = fld.p
+    if p == 2:
+        pencils = [("A", 0), ("B", 0), ("B", 1)]
+    else:
+        n0 = next(v for v in range(2, p) if pow(v, (p - 1) // 2, p) == p - 1)
+        pencils = [("A", 0), ("A", 1), ("A", n0)]
+    return (
+        [RegularClass22(kind, fld) for kind in ("C1x1x1", "C2x2x1", "C2x1x2", "C1x2x2")]
+        + [RegularClass22(kind, fld, v) for kind, v in pencils]
+        + [RegularClass22(kind, fld) for kind in ("C3x2x2_s2", "C3x2x2_s3", "C4x2x2")]
+    )
 
 
-def _label_entry(label: CanonicalSum, factors: Factors) -> tuple:
-    return label, tuple(inverse(x) for x in factors)
+# the canonical label and inverted witness factors (R^-1, S^-1, T^-1) of
+# each catalog representative labelled so far
+_REP_LABELS: dict[RegularClass22, tuple[CanonicalSum, Factors]] = {}
 
 
 def classify_regular(a: SpatialMatrix) -> tuple[RegularClass22, TransformWitness]:
@@ -818,16 +791,14 @@ def classify_regular(a: SpatialMatrix) -> tuple[RegularClass22, TransformWitness
         return cls, w
 
     label, fa, _ = _canonical_label(a)
-    catalog = theorem2_catalog(fld)
-    labels = _CATALOG_CACHE[fld.p][1]
-    for cls in catalog:
+    for cls in theorem2_catalog(fld):
         rep = cls.representative()
         if rep.dims != a.dims:
             continue
-        if cls not in labels:
+        if cls not in _REP_LABELS:
             rep_label, f_rep, _ = _canonical_label(rep)
-            labels[cls] = _label_entry(rep_label, f_rep)
-        rep_label, inverses = labels[cls]
+            _REP_LABELS[cls] = rep_label, tuple(inverse(x) for x in f_rep)
+        rep_label, inverses = _REP_LABELS[cls]
         if rep_label == label:
             # a -> label tensor <- rep, checked once as one witness
             w = TransformWitness(*(x @ y for x, y in zip(fa, inverses)))

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from gfcanon import CanonicalSum, ParseError, SpatialMatrix, TransformWitness, apply_transform, cli
+from gfcanon import CanonicalSum, KroneckerForm, ParseError, SpatialMatrix, TransformWitness, apply_transform, cli
 from gfcanon.cli import main
 
 A_GF5 = json.dumps(
@@ -208,6 +208,15 @@ def test_inline_json_array_is_not_a_path(capsys):
         (CanonicalSum.from_dict, {"p": 5, "right": [True], "left": [], "finite": []}),
         (CanonicalSum.from_dict, {"p": 5, "right": [], "left": ["2"], "finite": []}),
         (CanonicalSum.from_dict, {"p": 5, "right": [], "left": [], "finite": [[1.5, 1]]}),
+        (KroneckerForm.from_dict, {"p": 5, "right": [2.0], "left": [], "inf": [], "finite": []}),
+        (KroneckerForm.from_dict, {"p": 5, "right": [], "left": [], "inf": [True], "finite": []}),
+        (KroneckerForm.from_dict, {"p": 5, "right": [], "left": [], "inf": [], "finite": [["3", 1]]}),
+        (KroneckerForm.from_dict, {"p": 5, "right": [], "left": [], "inf": [0], "finite": []}),
+        (CanonicalSum.from_dict, {"p": 5, "right": [-3], "left": [], "finite": []}),
+        (CanonicalSum.from_dict, {"p": 5, "right": [], "left": [0], "finite": []}),
+        (CanonicalSum.from_dict, {"p": 5, "right": [], "left": [], "finite": [[1, 2]]}),
+        (CanonicalSum.from_dict, {"p": 5, "right": [], "left": [], "finite": [[3]]}),
+        (KroneckerForm.from_dict, {"p": 5, "right": [], "left": [], "inf": [], "finite": [[1, 2]]}),
     ],
 )
 def test_strict_witness_and_label_documents(parse, doc):

@@ -312,6 +312,9 @@ def test_mobius_worked_examples_gf5():
     chi2 = Poly(F5, [3, 0, 1])  # x^2 - 2
     swap = Mobius2x2.from_ints(F5, 0, 1, 1, 0)
     assert mobius_transform(chi2, swap) == Poly(F5, [2, 0, 1])  # x^2 - 3
+    # a mix holds plain ints in [0, p)
+    assert Mobius2x2.from_ints(F5, 6, -1, 0, 2) == Mobius2x2(F5, 1, 4, 0, 2)
+    assert all(type(x) is int for x in t.as_ints())
 
 
 def test_mobius_identity_and_degree():

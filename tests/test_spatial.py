@@ -357,10 +357,9 @@ def test_no_anchor_scan_is_lazy(monkeypatch):
     fld = PrimeField(31)
     chi = next(Poly(fld, (c, 0, 1)) for c in range(31) if all((r * r + c) % 31 for r in range(31)))
     cs = CanonicalSum(fld, (), (), (chi,))
-    monkeypatch.setattr(spatial, "_PGL2_CACHE", {})
+    monkeypatch.setattr(spatial, "pgl2_reps", lambda fld: pytest.fail("scan listed every mix"))
     assert not spatial._anchors(cs.finite)
     assert _peak_bytes(lambda: mobius_orbit_minimize(cs)) < 2**19
-    assert spatial._PGL2_CACHE == {}
 
 
 def test_base_mixes_cover_the_candidates_lazily():
@@ -387,6 +386,44 @@ def test_base_mixes_cover_the_candidates_lazily():
         got = sorted((a, b, lam * c0 % p, lam * d0 % p)
                      for a, b, c0, d0 in spatial._base_mixes(set(), p) for lam in range(1, p))
         assert got == list(pgl2_reps(PrimeField(p)))
+
+
+class _CountedRow(list):
+    """A power-table row that counts the entries read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountedRow.reads += 1
+        return super().__getitem__(i)
+
+
+def test_least_group_sets_the_zero_key_aside(monkeypatch):
+    # an anchored base's group holds the anchor divisor's all-zero key, whose
+    # least scalings are all of GF(p)*; the other keys alone decide the group
+    rng = random.Random(20)
+
+    def check(keys, p, pw):
+        lams, low = spatial._least_group(sorted(keys), range(1, p), pw, p)
+        scaled = {lam: sorted(tuple(k * pow(lam, i + 1, p) % p for i, k in enumerate(key))
+                              for key in keys) for lam in range(1, p)}
+        want = min(scaled.values())
+        assert low == want, keys
+        assert sorted(lams) == [lam for lam in range(1, p) if scaled[lam] == want], keys
+
+    p = 1009
+    pw = [_CountedRow(pow(lam, i, p) for lam in range(p)) for i in range(1, 3)]
+    # sorting the scalings of both keys would read 2 (p - 1) l entries more;
+    # (0, 7) needs one pass over GF(p)* for its entry 1
+    for key, bound in (((5,), 2), ((3, 7), 4), ((0, 7), p + 3)):
+        monkeypatch.setattr(_CountedRow, "reads", 0)
+        check([(0,) * len(key), key], p, pw)
+        assert _CountedRow.reads <= bound, key
+    for p, l in ((1009, 1), (1009, 2), (7, 3), (5, 2)):
+        pw = [[pow(lam, i, p) for lam in range(p)] for i in range(1, l + 1)]
+        for extra in range(4):
+            zeros = [(0,) * l] * rng.randrange(1, 3)
+            check(zeros + [tuple(rng.randrange(p) for _ in range(l)) for _ in range(extra)], p, pw)
 
 
 def _irreducible(fld, degree):
@@ -532,7 +569,7 @@ def test_canonical_label_checks_its_witness_once(monkeypatch):
 
 def test_classify_checks_only_the_returned_witness(monkeypatch):
     rng = random.Random(16)
-    theorem2_catalog(F5)  # filling the catalog checks its own labels, once per p
+    monkeypatch.setattr(spatial, "_REP_LABELS", {})  # cold labels are checked only through w
     calls = _count_checks(monkeypatch)
     for u, v in ((1, 0), (0, 2), (1, 1)):
         a = apply_transform(_d_tensor(F5, u, v), rand_witness(rng, F5, 2, 2, 2))
@@ -546,8 +583,10 @@ def test_classify_labels_the_catalog_once_per_p(monkeypatch):
     rng = random.Random(18)
     tensors = [apply_transform(_d_tensor(F5, u, v), rand_witness(rng, F5, 2, 2, 2))
                for u, v in ((1, 0), (0, 2), (1, 1))]
-    monkeypatch.setattr(spatial, "_CATALOG_CACHE", {})
+    monkeypatch.setattr(spatial, "_REP_LABELS", {})
     cold = [classify_regular(a) for a in tensors]
+    # only the 2 x 2 x 2 representatives tried before each match were labelled
+    assert sorted(cls.param for cls in spatial._REP_LABELS) == [0, 1, 2]
     calls = []
     label = spatial._canonical_label
     monkeypatch.setattr(spatial, "_canonical_label", lambda a: calls.append(1) or label(a))
@@ -696,6 +735,49 @@ def test_catalog_contents():
             ("C3x2x2_s3", None),
             ("C4x2x2", None),
         ]
+
+
+def _dedup_catalog(fld):
+    """Referee: the A(v) for every v (and B(v) over GF(2)) deduplicated by
+    canonical label, keeping the least parameter."""
+    seen, out = set(), []
+    pencils = [("A", v) for v in range(fld.p)] + ([("B", 0), ("B", 1)] if fld.p == 2 else [])
+    for kind, v in pencils:
+        label = canonical_label(spatial.RegularClass22(kind, fld, v).representative())[0]
+        if label not in seen:
+            seen.add(label)
+            out.append((kind, v))
+    return out
+
+
+def test_catalog_matches_the_label_dedup_referee():
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        fld = PrimeField(p)
+        got = [(c.kind, c.param) for c in theorem2_catalog(fld) if c.kind in ("A", "B")]
+        assert got == _dedup_catalog(fld), p
+
+
+def test_catalog_makes_no_label_call(monkeypatch):
+    calls = []
+    label = spatial._canonical_label
+    monkeypatch.setattr(spatial, "_canonical_label", lambda a: calls.append(1) or label(a))
+    for p in (2, 3, 101, 1009, 2**31 - 1):
+        assert len(theorem2_catalog(PrimeField(p))) == 10
+    assert calls == []
+
+
+def test_classify_split_tensor_at_large_p(monkeypatch):
+    # x^2 - 4 at p = 1009: the input, A(0) and A(1) are labelled, never the
+    # irreducible A(11), whose no-anchor scan is over the budget
+    fld = PrimeField(1009)
+    a = apply_transform(_d_tensor(fld, 0, 4), rand_witness(random.Random(21), fld, 2, 2, 2))
+    calls = []
+    label = spatial._canonical_label
+    monkeypatch.setattr(spatial, "_canonical_label", lambda a: calls.append(1) or label(a))
+    monkeypatch.setattr(spatial, "_REP_LABELS", {})
+    cls, w = classify_regular(a)
+    assert (cls.kind, cls.param) == ("A", 1) and len(calls) <= 3
+    assert apply_transform(a, w) == cls.representative()
 
 
 def test_catalog_representatives_are_regular_and_self_classify():
